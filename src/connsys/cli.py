@@ -55,7 +55,7 @@ BRUTE_COVER_LIMIT = 15
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="connsys", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled validation of large systems")
+    p.add_argument("--seed", type=int, default=0, help="ignored; kept for compatibility (validation is exact)")
     p.add_argument("--parallel", type=int, default=1, help="worker count for width searches")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     sub = p.add_subparsers(dest="verb", required=True)

@@ -170,10 +170,9 @@ class _PairSearch:
 
 def enumerate_families(sys: ConnectivitySystem, req: EnumerationRequest) -> list[SetFamily]:
     """All families of the requested kind and order, in canonical search order."""
-    if sys.n > gate_limit(ENUMERATION_MAX_N):
-        raise GroundSetTooLargeForEnumeration(
-            f"exhaustive family enumeration is gated to n <= {ENUMERATION_MAX_N}"
-        )
+    limit = gate_limit(ENUMERATION_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"exhaustive family enumeration is gated to n <= {limit}")
     if req.k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")
     search = _PairSearch(sys, req.k, req.kind)
@@ -356,10 +355,9 @@ def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResu
     member are generable, and then the singleton family of that member is a
     smallest witness.
     """
-    if sys.n > gate_limit(ULTRAFILTER_NUMBER_MAX_N):
-        raise GroundSetTooLargeForEnumeration(
-            f"ultrafilter number search is gated to n <= {ULTRAFILTER_NUMBER_MAX_N}"
-        )
+    limit = gate_limit(ULTRAFILTER_NUMBER_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"ultrafilter number search is gated to n <= {limit}")
     req = EnumerationRequest("ultrafilter", k, non_principal_only=True)
     for uf in enumerate_families(sys, req):
         mins = _minimal_members(uf)

@@ -2,18 +2,23 @@
 
 Subsets are plain ints: bit i set means element i of the ground set is in.
 Every downstream search is evaluation-bound, so function values are memoized
-in a dense array of length 2^n at construction time.
+at construction time as a tuple of 2^n Python ints, indexed by mask.  They are
+built and validated as one numpy array, with whole-array operations in place
+of loops over the masks.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import sys as _sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     GroundSetTooLarge,
+    InputError,
     NormalizationViolation,
     SubmodularityViolation,
     SymmetryViolation,
@@ -21,19 +26,26 @@ from .errors import (
 )
 
 MAX_N = 20
-FULL_VALIDATION_MAX_N = 12
-SAMPLED_VALIDATION_PAIRS = 10**6
+WITNESS_SCAN_MAX_N = 12
+MAX_VALUE = 2**62 - 1  # keeps every sum that validation forms within int64
 
 
 def gate_limit(default: int) -> int:
     """Size gate, overridable via CONNSYS_MAX_N at the user's risk."""
-    env = os.environ.get("CONNSYS_MAX_N")
-    if env:
-        try:
-            return max(default, int(env))
-        except ValueError:
-            pass
-    return default
+    override = _max_n_override(os.environ.get("CONNSYS_MAX_N", ""))
+    return default if override is None else max(default, override)
+
+
+@functools.lru_cache(maxsize=None)
+def _max_n_override(env: str) -> int | None:
+    """Parse CONNSYS_MAX_N; a non-integer is ignored with one warning per distinct value."""
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        _sys.stderr.write(f"connsys: warning: ignoring non-integer CONNSYS_MAX_N={env!r}\n")
+        return None
 
 
 def popcount(mask: int) -> int:
@@ -57,8 +69,9 @@ class GroundSet:
     def __post_init__(self):
         if not self.labels:
             raise GroundSetTooLarge("ground set must contain at least one element")
-        if len(self.labels) > gate_limit(MAX_N):
-            raise GroundSetTooLarge(f"ground set of size {len(self.labels)} exceeds the cap")
+        limit = gate_limit(MAX_N)
+        if len(self.labels) > limit:
+            raise GroundSetTooLarge(f"ground set of size {len(self.labels)} exceeds the cap of {limit}")
         if any(not lab for lab in self.labels):
             raise ValueError("element labels must be non-empty")
         if len(set(self.labels)) != len(self.labels):
@@ -97,92 +110,113 @@ class GroundSet:
         return self.mask_of(key.split(","))
 
 
-def edge_cut_values(labels_count: int, vertices: int, edges: list[tuple[int, int]]) -> list[int]:
+def edge_cut_values(labels_count: int, vertices: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Boundary-vertex function on edge subsets: vertices incident to both sides."""
     incident = [0] * vertices  # incident[v] = mask of edges touching v
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    full = (1 << labels_count) - 1
-    values = [0] * (1 << labels_count)
-    for mask in range(1 << labels_count):
-        comp = full ^ mask
-        values[mask] = sum(1 for inc in incident if inc & mask and inc & comp)
+    idx = np.arange(1 << labels_count, dtype=np.int64)
+    values = np.zeros_like(idx)
+    for inc in incident:
+        inside = idx & inc  # edges at this vertex inside the subset; the rest are outside
+        values += (inside != 0) & (inside != inc)
     return values
 
 
-def vertex_cut_values(vertices: int, edges: list[tuple[int, int]]) -> list[int]:
+def vertex_cut_values(vertices: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Cut function on vertex subsets: edges crossing the bipartition."""
-    values = [0] * (1 << vertices)
-    for mask in range(1 << vertices):
-        values[mask] = sum(1 for (u, v) in edges if (mask >> u & 1) != (mask >> v & 1))
+    neighbours = [0] * vertices
+    for u, v in edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    idx = np.arange(1 << vertices, dtype=np.int64)
+    values = np.zeros_like(idx)
+    # masks with highest bit v, by cut(S + v) = cut(S) + deg(v) - 2 |N(v) & S| for S below bit v
+    for v, nb in enumerate(neighbours):
+        crossing = np.bitwise_count(idx[: 1 << v] & nb).astype(np.int64)
+        values[1 << v : 2 << v] = values[: 1 << v] + nb.bit_count() - 2 * crossing
     return values
 
 
-def complete_table(ground: GroundSet, table: dict[int, int]) -> list[int]:
+def complete_table(ground: GroundSet, table: dict[int, int]) -> np.ndarray:
     """Fill missing subset values by symmetry from complements; require totality after."""
     full = ground.full_mask
-    values = [None] * (1 << ground.n)
     for mask, val in table.items():
         if mask < 0 or mask > full:
             raise TableIncomplete(f"subset mask {mask:#x} outside the ground set")
         if val < 0:
             raise NormalizationViolation(f"negative value {val} for subset {ground.subset_key(mask)!r}")
-        values[mask] = int(val)
-    for mask in range(1 << ground.n):
-        if values[mask] is None:
-            comp = full ^ mask
-            if values[comp] is None:
-                raise TableIncomplete(
-                    f"no value for subset {ground.subset_key(mask)!r} or its complement"
-                )
-            values[mask] = values[comp]
+        if val > MAX_VALUE:
+            raise InputError(f"value {val} for subset {ground.subset_key(mask)!r} exceeds {MAX_VALUE}")
+    values = np.full(1 << ground.n, -1, dtype=np.int64)  # -1 marks a missing value
+    values[np.fromiter(table.keys(), np.int64, len(table))] = np.fromiter(table.values(), np.int64, len(table))
+    # values[::-1][mask] is the value of the complement full ^ mask
+    values = np.where(values < 0, values[::-1], values)
+    missing = np.flatnonzero(values < 0)
+    if missing.size:
+        raise TableIncomplete(
+            f"no value for subset {ground.subset_key(int(missing[0]))!r} or its complement"
+        )
     return values
 
 
-def _check_symmetry(ground: GroundSet, values: list[int]) -> None:
-    full = ground.full_mask
-    for mask in range(1 << ground.n):
-        comp = full ^ mask
-        if mask < comp and values[mask] != values[comp]:
-            raise SymmetryViolation(
-                mask,
-                f"f({ground.subset_key(mask)!r}) = {values[mask]} but "
-                f"f({ground.subset_key(comp)!r}) = {values[comp]}",
-            )
-
-
-def _check_submodularity(ground: GroundSet, values: list[int], seed: int) -> dict:
-    """Full O(4^n) check for small n, seeded uniform pair sampling beyond."""
-    n = ground.n
-    arr = np.asarray(values, dtype=np.int64)
-    if n <= FULL_VALIDATION_MAX_N:
-        size = 1 << n
-        idx = np.arange(size, dtype=np.int64)
-        # row-major scan so the first reported witness is the lowest (A, B) pair
-        for a in range(size):
-            lhs = values[a] + arr
-            rhs = arr[np.bitwise_and(a, idx)] + arr[np.bitwise_or(a, idx)]
-            bad = np.nonzero(lhs < rhs)[0]
-            if bad.size:
-                b = int(bad[0])
-                raise SubmodularityViolation(
-                    a,
-                    b,
-                    f"f({ground.subset_key(a)!r}) + f({ground.subset_key(b)!r}) = "
-                    f"{values[a] + values[b]} < {values[a & b] + values[a | b]}",
-                )
-        return {"mode": "exhaustive", "pairs": size * size, "seed": None}
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 1 << n, size=SAMPLED_VALIDATION_PAIRS, dtype=np.int64)
-    b = rng.integers(0, 1 << n, size=SAMPLED_VALIDATION_PAIRS, dtype=np.int64)
-    lhs = arr[a] + arr[b]
-    rhs = arr[a & b] + arr[a | b]
-    bad = np.nonzero(lhs < rhs)[0]
+def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:
+    # the lowest mismatching mask is below its complement, which mismatches too
+    bad = np.flatnonzero(values != values[::-1])
     if bad.size:
-        i = int(bad[0])
-        raise SubmodularityViolation(int(a[i]), int(b[i]), "sampled pair violates the inequality")
-    return {"mode": "sampled", "pairs": SAMPLED_VALIDATION_PAIRS, "seed": seed}
+        mask = int(bad[0])
+        comp = ground.full_mask ^ mask
+        raise SymmetryViolation(
+            mask,
+            f"f({ground.subset_key(mask)!r}) = {values[mask]} but "
+            f"f({ground.subset_key(comp)!r}) = {values[comp]}",
+        )
+
+
+def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
+    """A pair (A+i, A+j) with f(A+i) + f(A+j) < f(A) + f(A+i+j), or None if there is none.
+
+    f is submodular exactly when no such pair exists (Fujishige, Submodular
+    Functions and Optimization), so this proves submodularity in O(n^2 2^n).
+    """
+    cube = values.reshape((2,) * n)  # axis n-1-i indexes bit i
+    for i in range(n - 1):
+        gain = np.diff(cube, axis=n - 1 - i)  # f(A+i) - f(A)
+        for j in range(i + 1, n):
+            second = np.diff(gain, axis=n - 1 - j)  # f(A+i+j) - f(A+j) - f(A+i) + f(A)
+            if second.max() > 0:
+                pos = np.unravel_index(int(np.argmax(second > 0)), second.shape)
+                a = sum(int(p) << (n - 1 - axis) for axis, p in enumerate(pos))
+                return a | 1 << i, a | 1 << j
+    return None
+
+
+def _lowest_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
+    """The lowest violating (A, B) pair in row-major order, by an O(4^n) scan."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    for a in range(1 << n):
+        bad = np.flatnonzero(values[a] + values < values[a & idx] + values[a | idx])
+        if bad.size:
+            return a, int(bad[0])
+    return None
+
+
+def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
+    """Exact at every n; for small n the reported witness is the lowest violating pair."""
+    n = ground.n
+    witness = _local_violation(values, n)
+    if witness is not None:
+        if n <= WITNESS_SCAN_MAX_N:
+            witness = _lowest_violation(values, n)
+        a, b = witness
+        raise SubmodularityViolation(
+            a,
+            b,
+            f"f({ground.subset_key(a)!r}) + f({ground.subset_key(b)!r}) = "
+            f"{values[a] + values[b]} < {values[a & b] + values[a | b]}",
+        )
+    return {"mode": "exhaustive", "pairs": 4**n, "seed": None}
 
 
 @dataclass(frozen=True)
@@ -214,14 +248,17 @@ class ConnectivitySystem:
         return max(self.values)
 
     @classmethod
-    def _build(cls, ground, values, spec_kind, spec_payload, seed):
+    def _build(cls, ground, values: np.ndarray, spec_kind, spec_payload):
         if values[0] != 0:
             raise NormalizationViolation(f"f(empty set) = {values[0]} but must be 0")
         if values[ground.full_mask] != 0:
             raise NormalizationViolation(f"f(X) = {values[ground.full_mask]} but must be 0")
         _check_symmetry(ground, values)
-        info = _check_submodularity(ground, values, seed)
-        return cls(ground, tuple(values), spec_kind, spec_payload, info)
+        info = _check_submodularity(ground, values)
+        return cls(ground, tuple(values.tolist()), spec_kind, spec_payload, info)
+
+    # The `seed` parameters of the constructors are accepted and ignored:
+    # validation is exact and draws no random numbers.
 
     @classmethod
     def from_table(cls, labels, table: dict, seed: int = 0) -> "ConnectivitySystem":
@@ -234,7 +271,7 @@ class ConnectivitySystem:
                 raise TableIncomplete(f"conflicting values for subset {ground.subset_key(mask)!r}")
             by_mask[mask] = val
         values = complete_table(ground, by_mask)
-        return cls._build(ground, values, "table", {"values": dict(by_mask)}, seed)
+        return cls._build(ground, values, "table", {"values": dict(by_mask)})
 
     @classmethod
     def from_edge_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
@@ -244,7 +281,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per edge is required")
         _check_simple_graph(vertices, edges)
         values = edge_cut_values(ground.n, vertices, edges)
-        return cls._build(ground, values, "graph_edge_cut", {"vertices": vertices, "edges": edges}, seed)
+        return cls._build(ground, values, "graph_edge_cut", {"vertices": vertices, "edges": edges})
 
     @classmethod
     def from_vertex_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
@@ -254,7 +291,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per vertex is required")
         _check_simple_graph(vertices, edges)
         values = vertex_cut_values(vertices, edges)
-        return cls._build(ground, values, "graph_vertex_cut", {"vertices": vertices, "edges": edges}, seed)
+        return cls._build(ground, values, "graph_vertex_cut", {"vertices": vertices, "edges": edges})
 
 
 def _check_simple_graph(vertices: int, edges) -> None:

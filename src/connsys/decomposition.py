@@ -193,10 +193,9 @@ def _branch_task(args):
 def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
     """Exact minimum width over all branch decomposition trees, with a certificate."""
     n = sys.n
-    if n > gate_limit(WIDTH_MAX_N):
-        raise GroundSetTooLargeForExhaustiveSearch(
-            f"branch-width search is gated to n <= {WIDTH_MAX_N}"
-        )
+    limit = gate_limit(WIDTH_MAX_N)
+    if n > limit:
+        raise GroundSetTooLargeForExhaustiveSearch(f"branch-width search is gated to n <= {limit}")
     if n == 1:
         return WidthResult(0, BranchDecomposition(1, (), (0,)))
     if n == 2:
@@ -260,10 +259,9 @@ def _linear_task(args):
 def linear_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
     """Exact minimum ordering width via branch-and-bound over prefixes."""
     n = sys.n
-    if n > gate_limit(WIDTH_MAX_N):
-        raise GroundSetTooLargeForExhaustiveSearch(
-            f"linear-width search is gated to n <= {WIDTH_MAX_N}"
-        )
+    limit = gate_limit(WIDTH_MAX_N)
+    if n > limit:
+        raise GroundSetTooLargeForExhaustiveSearch(f"linear-width search is gated to n <= {limit}")
     if n == 1:
         return WidthResult(0, LinearOrdering((0,)))
     if parallel > 1:

@@ -463,7 +463,7 @@ def check_family(
         raise GroundSetMismatch(f"family over {fam.n} elements, system over {sys.n}")
     if kind == "majority_system" and sys.n > gate_limit(MAJORITY_MAX_N):
         raise GroundSetTooLargeForEnumeration(
-            f"majority_system axiom MA3 is gated to n <= {MAJORITY_MAX_N}"
+            f"majority_system axiom MA3 is gated to n <= {gate_limit(MAJORITY_MAX_N)}"
         )
     c = _Ctx(sys, fam)
     axioms = _AXIOMS[kind]

@@ -144,10 +144,9 @@ def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[
 
 def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     """A maximum antichain within the non-empty k-efficient subsets."""
-    if sys.n > gate_limit(ANTICHAIN_MAX_N):
-        raise GroundSetTooLargeForEnumeration(
-            f"antichain search is gated to n <= {ANTICHAIN_MAX_N}"
-        )
+    limit = gate_limit(ANTICHAIN_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"antichain search is gated to n <= {limit}")
     family = _nonempty_efficient(sys, k)
     if not family:
         return Antichain((), k)
@@ -325,8 +324,9 @@ def _family_witness(fam: SetFamily) -> tuple:
 
 def _audit_t35(sys, k) -> AuditReport:
     inst = _instance_summary(sys, k)
-    if sys.n > gate_limit(ANTICHAIN_MAX_N):
-        raise GroundSetTooLargeForEnumeration("antichain audit is gated")
+    limit = gate_limit(ANTICHAIN_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"antichain audit is gated to n <= {limit}")
     family = _nonempty_efficient(sys, k)
     ufs = _enumerate_ultrafilters(sys, k)
     members_set = set(family)
@@ -363,8 +363,9 @@ def _audit_t35(sys, k) -> AuditReport:
 
 def _audit_t36(sys, k) -> AuditReport:
     inst = _instance_summary(sys, k)
-    if sys.n > gate_limit(CHAIN_AUDIT_MAX_N):
-        raise GroundSetTooLargeForEnumeration("chain audit is gated")
+    limit = gate_limit(CHAIN_AUDIT_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"chain audit is gated to n <= {limit}")
     keff = enumerate_k_efficient(sys, k)
     ufs = _enumerate_ultrafilters(sys, k)
     for chain in _all_chains(keff):

@@ -103,6 +103,40 @@ def oracle_family_holds(values, n, members, k, kind):
     raise ValueError(kind)
 
 
+def oracle_cut_values(kind, n, vertices, edges):
+    """Cut values of every subset of the n-element ground set, straight from the definitions.
+
+    kind "vertex": the ground set is the vertices; f(S) is the number of edges
+    with exactly one end in S.  kind "edge": the ground set is the edges; f(F)
+    is the number of vertices that touch an edge in F and an edge outside F.
+    """
+    values = []
+    for mask in range(1 << n):
+        inside = [i for i in range(n) if mask >> i & 1]
+        if kind == "vertex":
+            values.append(sum(1 for (u, v) in edges if (u in inside) != (v in inside)))
+        elif kind == "edge":
+            count = 0
+            for w in range(vertices):
+                touches_in = any(w in edges[i] for i in range(n) if i in inside)
+                touches_out = any(w in edges[i] for i in range(n) if i not in inside)
+                if touches_in and touches_out:
+                    count += 1
+            values.append(count)
+        else:
+            raise ValueError(kind)
+    return values
+
+
+def oracle_submodularity_witness(values, n):
+    """The first (A, B) in row-major order with f(A) + f(B) < f(A & B) + f(A | B), or None."""
+    for a in range(1 << n):
+        for b in range(1 << n):
+            if values[a] + values[b] < values[a & b] + values[a | b]:
+                return (a, b)
+    return None
+
+
 def oracle_branch_width(values, n):
     """Exact branch-width by recursive bipartition over subsets."""
     if n == 1:

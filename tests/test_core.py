@@ -1,16 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsys import ConnectivitySystem, enumerate_k_efficient
-from connsys.core import GroundSet, popcount
+from connsys.core import GroundSet, _local_violation, edge_cut_values, popcount, vertex_cut_values
 from connsys.errors import (
     GroundSetTooLarge,
+    InputError,
     NormalizationViolation,
     SubmodularityViolation,
     SymmetryViolation,
     TableIncomplete,
 )
+
+from .oracles import oracle_cut_values, oracle_submodularity_witness
 
 
 def test_edge_cut_single_edge_boundary(c4_edge):
@@ -38,6 +42,15 @@ def test_submodularity_violation_witness_reverifies():
         ConnectivitySystem.from_table(["a", "b", "c"], table)
     a, b = exc.value.a_mask, exc.value.b_mask
     assert table[a] + table[b] < table[a & b] + table[a | b]
+
+
+def test_table_values_beyond_int64_headroom_rejected():
+    # validation sums up to four values in int64; 2^62 - 1 is the largest value that fits
+    top = 2**62 - 1
+    assert ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b01: top, 0b11: 0}).f(0b10) == top
+    for val in (top + 1, 2**63, 2**70):
+        with pytest.raises(InputError):
+            ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b01: val, 0b11: 0})
 
 
 def test_symmetry_violation_reported():
@@ -138,13 +151,87 @@ def test_random_graphs_validate_and_satisfy_lemma(nv, data):
             assert sys.f(a) + sys.f(b) >= sys.f(a & ~b) + sys.f(b & ~a)
 
 
-def test_sampled_validation_records_seed():
-    # a 13-element path graph exceeds the exhaustive-check cutoff
+def test_validation_exhaustive_above_scan_cutoff():
+    # a 13-element path graph is past the lowest-witness scan cutoff; the seed is ignored
     edges = [(i, i + 1) for i in range(12)]
     sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(13)], 13, edges, seed=7)
-    assert sys.validation["mode"] == "sampled"
-    assert sys.validation["seed"] == 7
-    assert sys.validation["pairs"] == 10**6
+    assert sys.validation == {"mode": "exhaustive", "pairs": 4**13, "seed": None}
+
+
+def test_single_broken_local_pair_rejected_at_n13():
+    # f(S) = |S|(n-|S|) + cut(S) in the complete bipartite graph between `half` and
+    # the rest without the edge (a, b); lowering f(half) and f(X - half) by 3 breaks
+    # only the local pair (half, half - a + b) and its complement mirror
+    n, a, b = 13, 0, 12
+    full = (1 << n) - 1
+    half = (1 << 6) - 1
+    edges = [(u, v) for u in range(6) for v in range(6, n) if (u, v) != (a, b)]
+    values = []
+    for mask in range(1 << n):
+        size = bin(mask).count("1")
+        cut = sum(1 for (u, v) in edges if (mask >> u & 1) != (mask >> v & 1))
+        values.append(size * (n - size) + cut)
+    values[half] -= 3
+    values[full ^ half] -= 3
+    broken = [
+        (s | 1 << i, s | 1 << j)
+        for s in range(1 << n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not s >> i & 1 and not s >> j & 1
+        and values[s | 1 << i] + values[s | 1 << j] < values[s] + values[s | 1 << i | 1 << j]
+    ]
+    mirror = full ^ half ^ 1 << b
+    assert sorted(broken) == sorted([(half, half ^ 1 << a | 1 << b), (mirror | 1 << a, full ^ half)])
+    with pytest.raises(SubmodularityViolation) as exc:
+        ConnectivitySystem.from_table([f"x{i}" for i in range(n)], dict(enumerate(values)))
+    wa, wb = exc.value.a_mask, exc.value.b_mask
+    assert values[wa] + values[wb] < values[wa & wb] + values[wa | wb]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_vertex_cut_builder_matches_oracle(nv, data):
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    got = vertex_cut_values(nv, edges)
+    assert got.tolist() == oracle_cut_values("vertex", nv, nv, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.data())
+def test_edge_cut_builder_matches_oracle(nv, data):
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    got = edge_cut_values(len(edges), nv, edges)
+    assert got.tolist() == oracle_cut_values("edge", len(edges), nv, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_local_check_decides_like_the_pair_scan(n, data):
+    # a weighted cut function (submodular) plus a few symmetric perturbations
+    full = (1 << n) - 1
+    weights = {
+        (u, v): data.draw(st.integers(0, 2)) for u in range(n) for v in range(u + 1, n)
+    }
+    values = [
+        sum(w for (u, v), w in weights.items() if (mask >> u & 1) != (mask >> v & 1))
+        for mask in range(1 << n)
+    ]
+    reps = list(range(1, 1 << (n - 1)))  # one of each complementary pair, except {}/X
+    if reps:
+        for rep, delta in data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, 2)), max_size=3)):
+            values[rep] = values[full ^ rep] = max(0, values[rep] + delta)
+    want = oracle_submodularity_witness(values, n)
+    assert (_local_violation(np.array(values, dtype=np.int64), n) is None) == (want is None)
+    labels = [f"x{i}" for i in range(n)]
+    if want is None:
+        assert ConnectivitySystem.from_table(labels, dict(enumerate(values))).validation["mode"] == "exhaustive"
+    else:
+        with pytest.raises(SubmodularityViolation) as exc:
+            ConnectivitySystem.from_table(labels, dict(enumerate(values)))
+        assert (exc.value.a_mask, exc.value.b_mask) == want
 
 
 def test_edge_cut_of_any_graph_validates(k4_edge):

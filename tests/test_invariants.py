@@ -1,5 +1,7 @@
 """Cross-module property tests for the documented structural invariants."""
 
+import pytest
+
 from connsys import (
     EnumerationRequest,
     SetFamily,
@@ -107,11 +109,25 @@ class TestChainExtension:
                     assert check_family(sys, uf, "ultrafilter").holds
 
 
-def test_env_override_raises_size_gates(monkeypatch):
+def test_env_override_raises_size_gates(monkeypatch, capsys):
     from connsys.core import gate_limit
 
     assert gate_limit(8) == 8
     monkeypatch.setenv("CONNSYS_MAX_N", "12")
     assert gate_limit(8) == 12
-    monkeypatch.setenv("CONNSYS_MAX_N", "junk")
+    monkeypatch.setenv("CONNSYS_MAX_N", "junk-gate-value")
     assert gate_limit(8) == 8
+    assert gate_limit(10) == 10
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "CONNSYS_MAX_N='junk-gate-value'" in err
+
+
+def test_gate_messages_name_the_effective_limit(monkeypatch):
+    from connsys import ConnectivitySystem, EnumerationRequest
+    from connsys.errors import GroundSetTooLargeForEnumeration
+
+    monkeypatch.setenv("CONNSYS_MAX_N", "10")
+    edges = [(i, i + 1) for i in range(10)]
+    sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(11)], 11, edges)
+    with pytest.raises(GroundSetTooLargeForEnumeration, match="gated to n <= 10$"):
+        enumerate_families(sys, EnumerationRequest("ultrafilter", 0))
