@@ -56,7 +56,7 @@ BRUTE_COVER_LIMIT = 15
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="connsys", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="ignored; kept for compatibility (validation is exact)")
-    p.add_argument("--parallel", type=int, default=1, help="worker count for width searches")
+    p.add_argument("--parallel", type=int, default=1, help="ignored; kept for compatibility (widths are exact subset DPs)")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -149,9 +149,9 @@ def _run_width(args, sys: ConnectivitySystem):
             width = ordering_width(sys, cert)
         return {"width": width, "evaluated": True}, 0
     if args.mode == "branch":
-        result = branch_width(sys, parallel=args.parallel)
+        result = branch_width(sys)
     else:
-        result = linear_width(sys, parallel=args.parallel)
+        result = linear_width(sys)
     return width_result_to_json(sys, result, args.certificate), 0
 
 

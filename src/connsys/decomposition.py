@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import ConnectivitySystem, gate_limit, popcount
@@ -16,7 +15,7 @@ from .errors import (
 )
 from .families import SetFamily
 
-WIDTH_MAX_N = 10
+WIDTH_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -82,19 +81,17 @@ class BranchDecomposition:
         if root not in adj:
             root = 1
         stack = [(root, -1, False)]
-        sub = {node: 0 for node in adj}
         while stack:
             node, via, done = stack.pop()
             if done:
                 mask = 0
                 if node < self.n:
                     mask = 1 << self.leaf_elements[node]
-                for other, idx in adj[node]:
+                for _, idx in adj[node]:
                     if idx != via:
                         mask |= masks[idx]
                 if via >= 0:
                     masks[via] = mask
-                sub[node] = mask
             else:
                 stack.append((node, via, True))
                 for other, idx in adj[node]:
@@ -154,44 +151,16 @@ def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
     return best
 
 
-def _tree_iter(edges: list[tuple[int, int]], next_leaf: int, n: int, stop: int | None = None):
-    if next_leaf == (stop if stop is not None else n):
-        yield tuple(edges)
-        return
-    w = n + next_leaf - 2  # internal node ids always live above the leaf ids
-    for i in range(len(edges)):
-        u, v = edges[i]
-        rest = edges[:i] + edges[i + 1 :]
-        yield from _tree_iter(rest + [(u, w), (w, v), (next_leaf, w)], next_leaf + 1, n, stop)
-
-
-def all_branch_trees(n: int):
-    """Every unordered leaf-labelled ternary tree, one per insertion history."""
-    if n == 1:
-        yield ()
-    elif n == 2:
-        yield ((0, 1),)
-    else:
-        yield from _tree_iter([(0, n), (1, n), (2, n)], 3, n)
-
-
-def _tree_width(values, n: int, edges: tuple[tuple[int, int], ...]) -> int:
-    d = BranchDecomposition(n, edges, tuple(range(n)))
-    return max(values[mask] for mask in d.edge_sides())
-
-
-def _branch_task(args):
-    values, n, prefix_edges, next_leaf = args
-    best = None
-    for edges in _tree_iter(list(prefix_edges), next_leaf, n):
-        w = _tree_width(values, n, edges)
-        if best is None or w < best[0]:
-            best = (w, edges)
-    return best
-
-
 def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
-    """Exact minimum width over all branch decomposition trees, with a certificate."""
+    """Exact branch-width with a certificate, by a bottom-up subset DP.
+
+    Leaf x = n-1 hangs off the root of a rooted binary tree on X - x. For a
+    set S of its elements, h(S) is the least possible maximum of f over the
+    edge above S and every edge below it: f(S) for a singleton, else the larger of f(S) and the
+    minimum over splits S = B + C of max(h(B), h(C)), where B holds the lowest
+    element of S (Robertson & Seymour, Graph Minors X). The width is
+    h(X - x). `parallel` is accepted and ignored.
+    """
     n = sys.n
     limit = gate_limit(WIDTH_MAX_N)
     if n > limit:
@@ -201,104 +170,91 @@ def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
     if n == 2:
         cert = BranchDecomposition(2, ((0, 1),), (0, 1))
         return WidthResult(sys.values[1], cert)
-    if parallel > 1 and n >= 5:
-        # fan out over the positions of the first two inserted leaves
-        tasks = [
-            (sys.values, n, prefix, 5)
-            for prefix in _tree_iter([(0, n), (1, n), (2, n)], 3, n, stop=5)
-        ]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_branch_task, tasks))
-        best = None
-        for res in results:  # task order preserves sequential tie-breaking
-            if res is not None and (best is None or res[0] < best[0]):
-                best = res
-        width, edges = best
-    else:
-        best = None
-        for edges in all_branch_trees(n):
-            w = _tree_width(sys.values, n, edges)
-            if best is None or w < best[0]:
-                best = (w, edges)
-        width, edges = best
-    return WidthResult(width, BranchDecomposition(n, edges, tuple(range(n))))
+    root = (1 << (n - 1)) - 1
+    h = list(sys.values[: root + 1])
+    split = [0] * (root + 1)
+    top = sys.max_value + 1  # above every h value, so each set takes its first split
+    for s in range(3, root + 1):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            continue
+        best = top
+        t = 0  # submasks of rest in ascending order, so ties keep the lowest B
+        while t != rest:
+            b = low | t
+            c = rest ^ t
+            t = (t - rest) & rest
+            hb = h[b]
+            if hb < best:
+                hc = h[c]
+                if hc < best:
+                    best = hb if hb > hc else hc
+                    split[s] = b
+        if best > h[s]:
+            h[s] = best
+    width = h[root]
 
+    edges: list[tuple[int, int]] = []
+    next_node = n
 
-def _linear_task(args):
-    values, n, first = args
-    best = None
-    best_order = None
-    base = max(values[1 << e] for e in range(n))
-    order = [first]
+    def build(s: int) -> int:
+        nonlocal next_node
+        if s & (s - 1) == 0:
+            return s.bit_length() - 1
+        node = next_node
+        next_node += 1
+        b = split[s]
+        edges.append((node, build(b)))
+        edges.append((node, build(s ^ b)))
+        return node
 
-    def dfs(used: int, running: int):
-        nonlocal best, best_order
-        if len(order) == n:
-            if best is None or running < best:
-                best = running
-                best_order = tuple(order)
-            return
-        for e in range(n):
-            bit = 1 << e
-            if used & bit:
-                continue
-            prefix = used | bit
-            r = running
-            if len(order) < n - 1:
-                r = max(r, values[prefix])
-            if best is not None and r >= best:
-                continue
-            order.append(e)
-            dfs(prefix, r)
-            order.pop()
-
-    dfs(1 << first, base)
-    return (best, best_order)
+    edges.append((n - 1, build(root)))
+    cert = BranchDecomposition(n, tuple(edges), tuple(range(n)))
+    got = decomposition_width(sys, cert)
+    if got != width:
+        raise RuntimeError(f"branch-width certificate re-evaluates to {got}, not {width}")
+    return WidthResult(width, cert)
 
 
 def linear_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
-    """Exact minimum ordering width via branch-and-bound over prefixes."""
+    """Exact linear-width with the lexicographically first optimal ordering.
+
+    A subset DP from the full set downward: h(P) is the least possible maximum
+    of f over P and the proper prefixes after it, in O(n * 2^n). The width is
+    the larger of h(empty) and the largest singleton value; the ordering takes,
+    at each step, the smallest element that keeps within the width.
+    `parallel` is accepted and ignored.
+    """
     n = sys.n
     limit = gate_limit(WIDTH_MAX_N)
     if n > limit:
         raise GroundSetTooLargeForExhaustiveSearch(f"linear-width search is gated to n <= {limit}")
-    if n == 1:
-        return WidthResult(0, LinearOrdering((0,)))
-    if parallel > 1:
-        tasks = [(sys.values, n, first) for first in range(n)]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_linear_task, tasks))
-        best = None
-        for width, order in results:
-            if order is not None and (best is None or width < best[0]):
-                best = (width, order)
-        return WidthResult(best[0], LinearOrdering(best[1]))
-    best: tuple[int, tuple[int, ...]] | None = None
-    base = max(sys.values[1 << e] for e in range(n))
-    order: list[int] = []
-
-    def dfs(used: int, running: int):
-        nonlocal best
-        if len(order) == n:
-            if best is None or running < best[0]:
-                best = (running, tuple(order))
-            return
-        for e in range(n):
-            bit = 1 << e
-            if used & bit:
-                continue
-            prefix = used | bit
-            r = running
-            if len(order) < n - 1:
-                r = max(r, sys.values[prefix])
-            if best is not None and r >= best[0]:
-                continue
-            order.append(e)
-            dfs(prefix, r)
-            order.pop()
-
-    dfs(0, base)
-    return WidthResult(best[0], LinearOrdering(best[1]))
+    f = sys.values
+    full = sys.full_mask
+    h = [0] * (full + 1)  # h(X) = 0: the full set is no proper prefix
+    for p in range(full - 1, -1, -1):
+        c = full ^ p
+        best = h[p | (c & -c)]
+        c &= c - 1
+        while c:
+            v = h[p | (c & -c)]
+            if v < best:
+                best = v
+            c &= c - 1
+        h[p] = f[p] if f[p] > best else best
+    width = max(h[0], max(f[1 << e] for e in range(n)))
+    order = []
+    p = 0
+    for _ in range(n):
+        e = next(e for e in range(n) if not p >> e & 1 and h[p | 1 << e] <= width)
+        order.append(e)
+        p |= 1 << e
+    cert = LinearOrdering(tuple(order))
+    got = ordering_width(sys, cert)
+    if got != width:
+        raise RuntimeError(f"linear-width certificate re-evaluates to {got}, not {width}")
+    return WidthResult(width, cert)
 
 
 def duality_audit(sys: ConnectivitySystem, k: int, kind: str) -> DualityVerdict:

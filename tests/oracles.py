@@ -178,6 +178,52 @@ def oracle_branch_width(values, n):
     return best
 
 
+def oracle_branch_trees(n):
+    """Every leaf-labelled ternary tree on the leaves 0..n-1, once each, as an edge tuple.
+
+    Leaf i is node i; the internal nodes are n..2n-3. For n >= 3 the trees grow
+    from the star on leaves 0, 1, 2: leaf j subdivides each edge in turn with
+    the new internal node n+j-2, which gives (2n-5)!! trees.
+    """
+    if n == 1:
+        return [()]
+    if n == 2:
+        return [((0, 1),)]
+    trees = [[(0, n), (1, n), (2, n)]]
+    for leaf in range(3, n):
+        w = n + leaf - 2
+        grown = []
+        for edges in trees:
+            for i in range(len(edges)):
+                u, v = edges[i]
+                grown.append(edges[:i] + edges[i + 1 :] + [(u, w), (w, v), (leaf, w)])
+        trees = grown
+    return [tuple(edges) for edges in trees]
+
+
+def oracle_tree_width(values, n, edges):
+    """Largest value of the leaf set on one side of an edge, over every edge of the tree."""
+    neighbours = {}
+    for a, b in edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    width = 0
+    for u, v in edges:
+        side = 0
+        seen = {u, v}
+        stack = [v]
+        while stack:
+            node = stack.pop()
+            if node < n:
+                side |= 1 << node
+            for other in neighbours[node]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+        width = max(width, values[side])
+    return width
+
+
 def oracle_generate_from_subbase(values, n, subbase, k):
     """Fixpoint closure: all finite intersections, then efficient up-closure.
 

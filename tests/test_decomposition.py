@@ -1,4 +1,8 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connsys import (
     BranchDecomposition,
@@ -11,7 +15,7 @@ from connsys import (
     linear_width,
     ordering_width,
 )
-from connsys.decomposition import all_branch_trees
+from connsys.decomposition import WIDTH_MAX_N
 from connsys.errors import (
     GroundSetTooLargeForExhaustiveSearch,
     MalformedTree,
@@ -20,7 +24,7 @@ from connsys.errors import (
     NotSingleElement,
 )
 
-from .oracles import oracle_branch_width
+from .oracles import oracle_branch_trees, oracle_branch_width, oracle_tree_width
 
 
 def double_factorial_odd(n):
@@ -28,6 +32,20 @@ def double_factorial_odd(n):
     for x in range(1, n + 1, 2):
         out *= x
     return out
+
+
+@st.composite
+def cut_systems(draw, max_n=7):
+    """A vertex-cut or edge-cut system of a random graph, over at most max_n elements."""
+    if draw(st.booleans()):
+        nv = draw(st.integers(1, max_n))
+        pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return ConnectivitySystem.from_vertex_cut([str(i) for i in range(nv)], nv, edges)
+    nv = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=max_n, unique=True))
+    return ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(len(edges))], nv, sorted(edges))
 
 
 def cardinality_system():
@@ -38,7 +56,7 @@ def cardinality_system():
 class TestTreeEnumeration:
     def test_counts_match_double_factorial(self):
         for n in range(3, 8):
-            count = sum(1 for _ in all_branch_trees(n))
+            count = len(oracle_branch_trees(n))
             assert count == double_factorial_odd(2 * n - 5)
 
     def test_trees_are_pairwise_distinct(self):
@@ -49,13 +67,13 @@ class TestTreeEnumeration:
 
         for n in (4, 5, 6):
             seen = set()
-            for edges in all_branch_trees(n):
+            for edges in oracle_branch_trees(n):
                 key = canonical(edges, n)
                 assert key not in seen
                 seen.add(key)
 
     def test_every_tree_validates(self):
-        for edges in all_branch_trees(5):
+        for edges in oracle_branch_trees(5):
             BranchDecomposition(5, edges, tuple(range(5))).validate()
 
 
@@ -118,12 +136,22 @@ class TestBranchWidth:
         rotated = ConnectivitySystem.from_table(["e1", "e2", "e3", "e4"], table)
         assert branch_width(rotated).width == branch_width(c4_edge).width
 
+    @settings(max_examples=40, deadline=None)
+    @given(cut_systems())
+    def test_matches_minimum_over_all_trees(self, sys):
+        trees = oracle_branch_trees(sys.n)
+        best = min(oracle_tree_width(sys.values, sys.n, edges) for edges in trees)
+        result = branch_width(sys)
+        assert result.width == best
+        assert decomposition_width(sys, result.certificate) == best
+
     def test_parallel_matches_sequential(self, k4_edge):
         assert branch_width(k4_edge, parallel=2) == branch_width(k4_edge)
 
     def test_size_gate(self):
-        edges = [(i, i + 1) for i in range(10)]
-        sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(11)], 11, edges)
+        n = WIDTH_MAX_N + 1
+        edges = [(i, i + 1) for i in range(n - 1)]
+        sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(n)], n, edges)
         with pytest.raises(GroundSetTooLargeForExhaustiveSearch):
             branch_width(sys)
 
@@ -142,13 +170,17 @@ class TestLinearWidth:
         for sys in (c4_edge, k4_edge, c4_vertex):
             assert branch_width(sys).width <= linear_width(sys).width
 
-    def test_exact_against_full_scan(self, k4_edge):
-        from itertools import permutations
-
-        best = min(
-            ordering_width(k4_edge, LinearOrdering(p)) for p in permutations(range(k4_edge.n))
-        )
-        assert linear_width(k4_edge).width == best
+    @settings(max_examples=40, deadline=None)
+    @given(cut_systems())
+    def test_exact_against_full_scan(self, k4_edge, drawn):
+        # the certificate is the first optimal permutation in lexicographic order
+        for sys in (k4_edge, drawn):
+            perms = list(permutations(range(sys.n)))
+            widths = [ordering_width(sys, LinearOrdering(p)) for p in perms]
+            best = min(widths)
+            result = linear_width(sys)
+            assert result.width == best
+            assert result.certificate.order == perms[widths.index(best)]
 
     def test_parallel_matches_sequential(self, k4_edge):
         assert linear_width(k4_edge, parallel=2) == linear_width(k4_edge)
