@@ -18,7 +18,8 @@ ENUMERATION_MAX_N = 8
 ULTRAFILTER_NUMBER_MAX_N = 6
 OPERATION_BUDGET_FACTOR = 64
 
-_UNKNOWN, _IN, _OUT = 0, 1, 2
+# Ordered so that state < _IN means "efficient and not yet a member".
+_UNKNOWN, _OUT, _IN, _NEVER = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,28 @@ class UltrafilterNumberResult:
 
 
 class _PairSearch:
-    """Backtracking over in/out decisions for k-efficient sets with closure propagation.
+    """In/out decisions on the k-efficient sets, closed under the rules of one kind.
 
-    Decisions are explored in ascending-bitmask order with the "in" branch
-    first, so completed families come out in lexicographic decision-vector
-    order (complement pairs ordered by representative bitmask).
+    Every kind shares one state per search: a list over all 2^n masks, in
+    which sets that are not k-efficient are never members, that propagation
+    changes in place and a trail restores. The rules are:
+
+    - every kind but tangle fails when the empty set is put in;
+    - ultrafilter and tangle put the complement of each member out;
+    - filter, ultrafilter and single_ultrafilter put in efficient supersets;
+    - filter and ultrafilter put in efficient intersections of members;
+    - single_ultrafilter puts in a member minus an efficient singleton, when
+      that is efficient;
+    - tangle puts out every efficient superset of what two members leave
+      uncovered;
+    - putting a set out puts its complement in.
+
+    ``run`` enumerates families: decisions are explored in ascending-bitmask
+    order with the "in" branch first, so completed families come out in
+    lexicographic decision-vector order (complement pairs ordered by
+    representative bitmask). Construction and extension grow a filter with
+    ``add``. ``ops`` counts propagation work: one per set put in and one per
+    efficient superset or member intersection examined.
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, kind: str):
@@ -55,93 +73,106 @@ class _PairSearch:
         self.kind = kind
         self.full = sys.full_mask
         self.keff = enumerate_k_efficient(sys, k)
-        self.is_eff = [sys.values[m] <= k for m in range(1 << sys.n)]
-        self.supersets = {m: [c for c in self.keff if c & m == m] for m in self.keff}
-        self.eff_singletons = [1 << i for i in range(sys.n) if self.is_eff[1 << i]]
+        self.eff_singletons = [1 << i for i in range(sys.n) if sys.values[1 << i] <= k]
+        self.state = [_UNKNOWN if v <= k else _NEVER for v in sys.values]
+        self.ins: list[int] = []  # members in the order they were put in
+        self.trail: list[int] = []  # every decided set in decision order
+        self.ops = 0
+        self._supersets_of: dict[int, list[int]] = {}
 
-    def _set_out(self, state: list[int], mask: int, queue: list[int]) -> bool:
-        if not self.is_eff[mask]:
-            return True  # cannot be a member anyway
+    def _supersets(self, mask: int) -> list[int]:
+        """Efficient supersets of mask, filtered from those of mask less its lowest element."""
+        sups = self._supersets_of.get(mask)
+        if sups is None:
+            wider = self._supersets(mask & (mask - 1)) if mask else self.keff
+            sups = self._supersets_of[mask] = [c for c in wider if c & mask == mask]
+        return sups
+
+    def _mark(self) -> tuple[int, int]:
+        return len(self.trail), len(self.ins)
+
+    def _undo(self, mark: tuple[int, int]) -> None:
+        for m in self.trail[mark[0] :]:
+            self.state[m] = _UNKNOWN
+        del self.trail[mark[0] :]
+        del self.ins[mark[1] :]
+
+    def _set_out(self, mask: int, queue: list[int]) -> bool:
+        state = self.state
         if state[mask] == _IN:
             return False
-        if state[mask] == _OUT:
-            return True
+        if state[mask] != _UNKNOWN:
+            return True  # already out, or never a member
         state[mask] = _OUT
+        self.trail.append(mask)
         queue.append(self.full ^ mask)  # the pair must still be decided
         return True
 
-    def _propagate(self, state: list[int], ins: list[int], queue: list[int]) -> bool:
+    def _propagate(self, queue: list[int]) -> bool:
+        state, ins, kind = self.state, self.ins, self.kind
         while queue:
             s = queue.pop()
             if state[s] == _IN:
                 continue
-            if state[s] == _OUT:
-                return False
-            if s == 0 and self.kind != "tangle":
+            if state[s] == _OUT or (s == 0 and kind != "tangle"):
                 return False
             state[s] = _IN
+            self.trail.append(s)
             ins.append(s)
-            if self.kind in ("ultrafilter", "tangle"):
-                if not self._set_out(state, self.full ^ s, queue):
-                    return False
-            if self.kind in ("ultrafilter", "single_ultrafilter"):
-                for c in self.supersets[s]:
+            self.ops += 1
+            if kind in ("ultrafilter", "tangle") and not self._set_out(self.full ^ s, queue):
+                return False
+            if kind != "tangle":
+                sups = self._supersets(s)
+                self.ops += len(sups)
+                for c in sups:
                     if state[c] != _IN:
                         queue.append(c)
-            if self.kind == "ultrafilter":
+            if kind in ("filter", "ultrafilter"):
+                self.ops += len(ins)
                 for t in ins:
-                    u = s & t
-                    if self.is_eff[u] and state[u] != _IN:
-                        queue.append(u)
-            elif self.kind == "single_ultrafilter":
+                    if state[s & t] < _IN:
+                        queue.append(s & t)
+            elif kind == "single_ultrafilter":
                 for e in self.eff_singletons:
                     rest = s & ~e
-                    if self.is_eff[rest] and state[rest] != _IN:
+                    if state[rest] < _IN:
                         queue.append(rest)
-            elif self.kind == "tangle":
+            elif kind == "tangle":
                 for t in ins:
-                    rem = self.full ^ (s | t)
-                    sups = self.supersets.get(rem)
-                    if sups is None:
-                        sups = self._eff_supersets(rem)
-                    for c in sups:
-                        if not self._set_out(state, c, queue):
+                    for c in self._supersets(self.full ^ (s | t)):
+                        if not self._set_out(c, queue):
                             return False
         return True
 
-    def _eff_supersets(self, mask: int) -> list[int]:
-        return [c for c in self.keff if c & mask == mask]
-
-    def _initial(self):
-        state = [_UNKNOWN] * (1 << self.sys.n)
-        ins: list[int] = []
-        queue: list[int] = []
-        if self.kind == "tangle":
-            if not self._set_out(state, self.full, queue):
-                return None
-            for i in range(self.sys.n):
-                if not self._set_out(state, self.full ^ (1 << i), queue):
-                    return None
-        else:
-            queue.append(self.full)  # the empty set can never be a member
-        if not self._propagate(state, ins, queue):
-            return None
-        return state, ins
+    def add(self, mask: int) -> bool:
+        """Put mask in and propagate; on a conflict restore the state and return False."""
+        mark = self._mark()
+        if self._propagate([mask]):
+            return True
+        self._undo(mark)
+        return False
 
     def run(self, non_principal_only: bool, limit: int | None) -> list[SetFamily]:
         results: list[SetFamily] = []
-        start = self._initial()
-        if start is None:
-            return results
-        self._dfs(start[0], start[1], results, non_principal_only, limit)
+        queue: list[int] = []
+        if self.kind == "tangle":
+            outs = [self.full] + [self.full ^ (1 << i) for i in range(self.sys.n)]
+            ok = all(self._set_out(m, queue) for m in outs)
+        else:
+            queue.append(self.full)  # the empty set can never be a member
+            ok = True
+        if ok and self._propagate(queue):
+            self._dfs(0, results, non_principal_only, limit)
         return results
 
-    def _dfs(self, state, ins, results, non_principal_only, limit) -> bool:
-        if limit is not None and len(results) >= limit:
-            return False
-        branch_mask = next((m for m in self.keff if state[m] == _UNKNOWN), None)
-        if branch_mask is None:
-            members = frozenset(ins)
+    def _dfs(self, pos, results, non_principal_only, limit) -> bool:
+        """Complete the state from keff[pos] on; False once limit families are found."""
+        keff, state = self.keff, self.state
+        while pos < len(keff) and state[keff[pos]] != _UNKNOWN:
+            pos += 1
+        if pos == len(keff):
+            members = frozenset(self.ins)
             if non_principal_only and any(popcount(m) == 1 for m in members):
                 return True
             fam = SetFamily(members, self.k, self.sys.n)
@@ -153,18 +184,16 @@ class _PairSearch:
                 )
             results.append(fam)
             return limit is None or len(results) < limit
+        mask = keff[pos]
         for branch in (_IN, _OUT):
-            st = state.copy()
-            new_ins = list(ins)
-            queue = []
-            if branch == _IN:
-                queue.append(branch_mask)
-                ok = self._propagate(st, new_ins, queue)
-            else:
-                ok = self._set_out(st, branch_mask, queue) and self._propagate(st, new_ins, queue)
-            if ok:
-                if not self._dfs(st, new_ins, results, non_principal_only, limit):
-                    return False
+            mark = self._mark()
+            queue = [mask] if branch == _IN else []
+            if branch == _OUT:
+                self._set_out(mask, queue)  # mask is undecided, so this cannot fail
+            stop = self._propagate(queue) and not self._dfs(pos + 1, results, non_principal_only, limit)
+            self._undo(mark)
+            if stop:
+                return False
         return True
 
 
@@ -179,49 +208,29 @@ def enumerate_families(sys: ConnectivitySystem, req: EnumerationRequest) -> list
     return search.run(req.non_principal_only, req.limit)
 
 
-class _Closure:
-    """Eagerly closed family under efficient intersections and supersets."""
+def _decide_pairs(search: _PairSearch) -> None:
+    """Put in one side of every undecided complement pair, in ascending bitmask order.
 
-    def __init__(self, sys: ConnectivitySystem, k: int, counter=None):
-        self.sys = sys
-        self.k = k
-        self.full = sys.full_mask
-        self.keff = enumerate_k_efficient(sys, k)
-        self.is_eff = [sys.values[m] <= k for m in range(1 << sys.n)]
-        self.supersets = {m: [c for c in self.keff if c & m == m] for m in self.keff}
-        self.counter = counter
-
-    def _tick(self, units: int = 1):
-        if self.counter is not None:
-            self.counter.ops += units
-
-    def close(self, base: set[int], new: int) -> set[int] | None:
-        """Members after adding new, or None if the empty set becomes derivable."""
-        members = set(base)
-        work = [new]
-        while work:
-            s = work.pop()
-            self._tick()
-            if s in members:
-                continue
-            if s == 0:
-                return None
-            members.add(s)
-            for t in list(members):
-                u = s & t
-                self._tick()
-                if self.is_eff[u] and u not in members:
-                    work.append(u)
-            for c in self.supersets[s]:
-                self._tick()
-                if c not in members:
-                    work.append(c)
-        return members
+    The side with more elements is tried first (the lower bitmask on ties),
+    and the other side only if that fails.
+    """
+    state, full = search.state, search.full
+    for mask in search.keff:
+        search.ops += 1
+        comp = full ^ mask
+        if state[mask] == _IN or state[comp] == _IN:
+            continue
+        first, second = (mask, comp) if popcount(mask) >= popcount(comp) else (comp, mask)
+        if not (search.add(first) or search.add(second)):
+            raise RuntimeError("neither side of an undecided pair extends consistently")
 
 
-class _OpCounter:
-    def __init__(self):
-        self.ops = 0
+def _verified_ultrafilter(sys: ConnectivitySystem, search: _PairSearch, what: str) -> SetFamily:
+    result = SetFamily(frozenset(search.ins), search.k, sys.n)
+    final = check_family(sys, result, "ultrafilter")
+    if not final.holds:
+        raise RuntimeError(f"{what} produced a family failing {final.violated_axiom}")
+    return result
 
 
 def extend_filter_to_ultrafilter(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
@@ -234,33 +243,11 @@ def extend_filter_to_ultrafilter(sys: ConnectivitySystem, fam: SetFamily) -> Set
     verdict = check_family(sys, fam, "filter")
     if not verdict.holds:
         raise NotAFilter(verdict)
-    closure = _Closure(sys, fam.k)
-    current = set(fam.members)
-    full = sys.full_mask
-    for mask in closure.keff:
-        if mask in current or (full ^ mask) in current:
-            continue
-        comp = full ^ mask
-        with_mask = closure.close(current, mask)
-        with_comp = closure.close(current, comp)
-        if with_mask is not None and with_comp is not None:
-            if popcount(mask) > popcount(comp):
-                current = with_mask
-            elif popcount(comp) > popcount(mask):
-                current = with_comp
-            else:
-                current = with_mask  # equal cardinality: lower bitmask wins
-        elif with_mask is not None:
-            current = with_mask
-        elif with_comp is not None:
-            current = with_comp
-        else:
-            raise RuntimeError("neither side of an undecided pair extends consistently")
-    result = SetFamily(frozenset(current), fam.k, sys.n)
-    final = check_family(sys, result, "ultrafilter")
-    if not final.holds:
-        raise RuntimeError(f"extension produced a family failing {final.violated_axiom}")
-    return result
+    search = _PairSearch(sys, fam.k, "filter")
+    if not all(search.add(m) for m in fam.members):
+        raise RuntimeError("a verified filter does not close consistently")
+    _decide_pairs(search)
+    return _verified_ultrafilter(sys, search, "extension")
 
 
 def construct_ultrafilter(sys: ConnectivitySystem, k: int) -> SetFamily:
@@ -273,51 +260,27 @@ def construct_ultrafilter_with_stats(sys: ConnectivitySystem, k: int) -> tuple[S
     """Construct an ultrafilter and report the number of basic operations.
 
     Three phases: enumerate the k-efficient candidates, grow a filter by
-    greedy consistent inclusion in ascending bitmask order, then decide any
-    remaining complement pairs. The operation count is asserted against the
-    budget 64 * 4^n.
+    greedy consistent inclusion in ascending bitmask order, then decide the
+    remaining complement pairs as extension does. The operation count is 2^n
+    for the candidate scan, one per candidate in each of the two passes, and
+    the propagation work: one per set put in and one per efficient superset
+    or member intersection examined. It is asserted against the budget
+    64 * 4^n.
     """
     if k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")
-    counter = _OpCounter()
-    counter.ops += 1 << sys.n  # candidate scan
-    closure = _Closure(sys, k, counter)
-    candidates = closure.keff
-    full = sys.full_mask
-    current: set[int] = set()
-    for mask in candidates:
-        counter.ops += 1
-        if mask == 0 or mask in current:
-            continue
-        if (full ^ mask) in current:
-            continue  # immediate conflict; keep the established side
-        attempt = closure.close(current, mask)
-        if attempt is not None:
-            current = attempt
-    # decide pairs where both sides were discarded during the greedy pass
-    for mask in candidates:
-        counter.ops += 1
-        if mask == 0 or mask in current or (full ^ mask) in current:
-            continue
-        comp = full ^ mask
-        with_mask = closure.close(current, mask)
-        with_comp = closure.close(current, comp)
-        if with_mask is not None and with_comp is not None:
-            current = with_mask if popcount(mask) >= popcount(comp) else with_comp
-        elif with_mask is not None:
-            current = with_mask
-        elif with_comp is not None:
-            current = with_comp
-        else:
-            raise RuntimeError("neither side of an undecided pair extends consistently")
+    search = _PairSearch(sys, k, "filter")
+    search.ops += 1 << sys.n  # candidate scan
+    state, full = search.state, sys.full_mask
+    for mask in search.keff:
+        search.ops += 1
+        if mask and state[mask] != _IN and state[full ^ mask] != _IN:
+            search.add(mask)  # a set that conflicts is dropped; its pair is decided below
+    _decide_pairs(search)
     budget = OPERATION_BUDGET_FACTOR * (4**sys.n)
-    if counter.ops > budget:
-        raise RuntimeError(f"operation count {counter.ops} exceeded the budget {budget}")
-    result = SetFamily(frozenset(current), k, sys.n)
-    final = check_family(sys, result, "ultrafilter")
-    if not final.holds:
-        raise RuntimeError(f"construction produced a family failing {final.violated_axiom}")
-    return result, counter.ops
+    if search.ops > budget:
+        raise RuntimeError(f"operation count {search.ops} exceeded the budget {budget}")
+    return _verified_ultrafilter(sys, search, "construction"), search.ops
 
 
 def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFamily:
@@ -329,16 +292,15 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     if 0 in values:
         raise EmptyIntersection(values[0])
     k = subbase.k
-    cores = [v for v in values if sys.values[v] <= k]
-    keff = enumerate_k_efficient(sys, k)
-    members = {c for c in keff if any(v & ~c == 0 for v in cores)}
-    ordered = sorted(members)
+    cores = frozenset(v for v in values if sys.values[v] <= k)
+    generated = _up_closure(sys, SetFamily(cores, k, sys.n))
+    ordered = generated.sorted_members()
     for i, a in enumerate(ordered):
         for b in ordered[i:]:
             u = a & b
-            if sys.values[u] <= k and u not in members:
+            if sys.values[u] <= k and u not in generated.members:
                 raise EfficiencyEscape(a, b, u)
-    return SetFamily(frozenset(members), k, sys.n)
+    return generated
 
 
 def _minimal_members(fam: SetFamily) -> list[int]:

@@ -259,6 +259,58 @@ def oracle_generate_from_subbase(values, n, subbase, k):
     return ("ok", result)
 
 
+def oracle_greedy_ultrafilter(values, n, k, base):
+    """The ultrafilter that construction (base None) or extension (base a filter) picks.
+
+    The README's rules, with sets as plain Python sets. The closure of a family
+    adds efficient intersections and efficient supersets until nothing new
+    appears, and fails if it reaches the empty set. Construction first visits
+    the non-empty k-efficient sets in ascending bitmask order and keeps the
+    closure with each one whose complement is not yet a member, if that closure
+    does not fail. Then both visit the k-efficient sets in ascending order and
+    decide each pair with neither side a member: of the sides whose closure
+    does not fail, the one with more elements wins, the lower bitmask on ties.
+    """
+    full = (1 << n) - 1
+    eff = [m for m in range(1 << n) if values[m] <= k]
+
+    def closure(family, extra):
+        members = set(family)
+        new = {extra}
+        while new:
+            if 0 in new:
+                return None
+            members |= new
+            found = set()
+            for a in new:
+                for b in members:
+                    if values[a & b] <= k:
+                        found.add(a & b)
+                for c in eff:
+                    if a | c == c:
+                        found.add(c)
+            new = found - members
+        return members
+
+    members = set()
+    if base is None:
+        for a in eff:
+            if a != 0 and a not in members and full ^ a not in members:
+                grown = closure(members, a)
+                if grown is not None:
+                    members = grown
+    else:
+        members = set(base)
+    for a in eff:
+        if a in members or full ^ a in members:
+            continue
+        sides = sorted((a, full ^ a), key=lambda s: (-bits(s), s))
+        grown = [g for g in (closure(members, s) for s in sides) if g is not None]
+        assert grown, "neither side of an undecided pair closes"
+        members = grown[0]
+    return members
+
+
 def connected_graphs_with_edges(min_edges, max_edges):
     """All connected simple graphs with edge counts in range, up to isomorphism."""
     import networkx as nx

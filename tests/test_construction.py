@@ -3,6 +3,7 @@ import random
 import pytest
 
 from connsys import (
+    ConnectivitySystem,
     EnumerationRequest,
     SetFamily,
     check_family,
@@ -24,7 +25,7 @@ from connsys.errors import (
 )
 
 from .conftest import all_three_element_systems
-from .oracles import oracle_family_holds, oracle_generate_from_subbase
+from .oracles import oracle_family_holds, oracle_generate_from_subbase, oracle_greedy_ultrafilter
 
 
 def up_closed(sys, seeds, k):
@@ -56,25 +57,28 @@ class TestEnumerate:
         assert [sorted(f.members) for f in got] == [[0]]
 
     def test_completeness_against_brute_force(self):
+        # canonical order: lexicographic in the decision vector, "in" before "out"
         for sys in all_three_element_systems((0, 1)):
             for k in range(sys.max_value + 1):
+                keff = [m for m in range(8) if sys.f(m) <= k]
                 for kind in ("ultrafilter", "tangle"):
-                    got = {
-                        f.members for f in enumerate_families(sys, EnumerationRequest(kind, k))
-                    }
-                    want = set()
+                    got = [f.members for f in enumerate_families(sys, EnumerationRequest(kind, k))]
+                    want = []
                     for bitset in range(1 << 8):
                         members = frozenset(m for m in range(8) if bitset >> m & 1)
                         if oracle_family_holds(sys.values, 3, members, k, kind):
-                            want.add(members)
+                            want.append(members)
+                    want.sort(key=lambda F: [m not in F for m in keff])
                     assert got == want, (sys.spec_payload, k, kind)
 
-    def test_limit_and_determinism(self, c4_edge):
-        all_four = enumerate_families(c4_edge, EnumerationRequest("ultrafilter", 2))
-        first_two = enumerate_families(c4_edge, EnumerationRequest("ultrafilter", 2, limit=2))
-        assert first_two == all_four[:2]
-        again = enumerate_families(c4_edge, EnumerationRequest("ultrafilter", 2))
-        assert again == all_four
+    def test_limit_and_determinism(self, k4_edge):
+        for k in range(k4_edge.max_value + 1):
+            for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
+                every = enumerate_families(k4_edge, EnumerationRequest(kind, k))
+                for limit in range(1, len(every) + 1):
+                    got = enumerate_families(k4_edge, EnumerationRequest(kind, k, limit=limit))
+                    assert got == every[:limit], (kind, k, limit)
+                assert enumerate_families(k4_edge, EnumerationRequest(kind, k)) == every
 
     def test_soundness_every_result_passes_check(self, k4_edge):
         for k in range(k4_edge.max_value + 1):
@@ -93,8 +97,6 @@ class TestEnumerate:
                 assert cut.members in lower
 
     def test_size_gate(self):
-        from connsys import ConnectivitySystem
-
         edges = [(i, i + 1) for i in range(8)]
         sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(9)], 9, edges)
         with pytest.raises(GroundSetTooLargeForEnumeration):
@@ -146,6 +148,32 @@ class TestExtend:
             assert got.k == fam.k
             assert check_family(sys, got, "ultrafilter").holds
             done += 1
+
+
+def random_cut_system(rng, max_n):
+    """The vertex-cut or edge-cut system of a random graph, over 3..max_n elements."""
+    n = rng.randint(3, max_n)
+    if rng.random() < 0.5:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+        return ConnectivitySystem.from_vertex_cut([str(i) for i in range(n)], n, edges)
+    nv = rng.choice([v for v in range(3, 7) if v * (v - 1) // 2 >= n])
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    edges = sorted(rng.sample(pairs, n))
+    return ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], nv, edges)
+
+
+def test_construct_and_extend_follow_the_greedy_rules():
+    rng = random.Random(4)
+    for _ in range(40):
+        sys = random_cut_system(rng, 7)
+        for k in range(sys.max_value + 1):
+            want = oracle_greedy_ultrafilter(sys.values, sys.n, k, None)
+            assert construct_ultrafilter(sys, k).members == want, (sys.spec_payload, k)
+            keff = [m for m in range(1, 1 << sys.n) if sys.f(m) <= k]
+            base = up_closed(sys, [rng.choice(keff)], k)
+            want = oracle_greedy_ultrafilter(sys.values, sys.n, k, base.members)
+            assert extend_filter_to_ultrafilter(sys, base).members == want, (sys.spec_payload, k)
 
 
 class TestConstruct:
