@@ -5,13 +5,21 @@ quantify over members are evaluated over the members; axioms that quantify
 over all subsets (Q4, T2, SB4, MA1, ...) are evaluated over all k-efficient
 subsets of the system. Verdicts report the first violated axiom in the
 kind's fixed order, with the lowest-bitmask witness.
+
+For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4, T3 and
+the derived FT1 flag are decided exactly on boolean arrays over the 2^n
+masks: membership, efficiency and the subset transform of membership. A
+failing axiom's literal scan then runs only to find the same witness.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
 from .errors import (
@@ -25,6 +33,9 @@ from .errors import (
 
 MAJORITY_MAX_N = 8
 DERIVED_TRIPLE_MAX_MEMBERS = 64
+# Families this large are decided on membership arrays; below it the literal
+# scans are cheaper than the numpy calls.
+ARRAY_MIN_MEMBERS = 17
 
 KINDS = (
     "filter",
@@ -106,6 +117,47 @@ class FamilyFlags:
     uniform: bool
 
 
+def _subset_transform(marked: np.ndarray, n: int) -> np.ndarray:
+    """down[S]: some marked mask is a subset of S (the zeta transform over OR)."""
+    down = marked.copy()
+    for i in range(n):
+        cube = down.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        cube[:, 1] |= cube[:, 0]
+    return down
+
+
+class _Arrays:
+    """Boolean arrays over the 2^n masks for one family at one bound."""
+
+    def __init__(self, eff: np.ndarray, members: list[int], n: int):
+        self.n = n
+        self.eff = eff
+        self.members = np.array(members, dtype=np.int64)
+        self.mem = np.zeros(eff.shape, dtype=bool)
+        self.mem[self.members] = True
+        self.bad = eff & ~self.mem  # efficient non-members
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        """Some member is a subset of S."""
+        return _subset_transform(self.mem, self.n)
+
+    @cached_property
+    def co_down(self) -> np.ndarray:
+        """The complement of some member is a subset of S."""
+        return _subset_transform(self.mem[::-1], self.n)
+
+    def any_pair(self, op, table: np.ndarray) -> bool:
+        """Whether table[op(a, b)] holds for some members a, b."""
+        arr = self.members
+        rows = max(1, (1 << 18) // max(1, len(arr)))  # about 2^18 pair elements per step
+        for r in range(0, len(arr), rows):
+            # rows r.. against columns r.. covers every unordered pair once or twice
+            if table[op(arr[r : r + rows, None], arr[None, r:])].any():
+                return True
+        return False
+
+
 class _Ctx:
     def __init__(self, sys: ConnectivitySystem, fam: SetFamily):
         self.sys = sys
@@ -114,7 +166,13 @@ class _Ctx:
         self.full = sys.full_mask
         self.members = fam.members
         self.sorted = fam.sorted_members()
-        self.keff = enumerate_k_efficient(sys, fam.k)
+        self.arrays = None
+        if len(fam.members) >= ARRAY_MIN_MEMBERS:
+            eff = np.fromiter(sys.values, np.int64, len(sys.values)) <= fam.k
+            self.keff = np.flatnonzero(eff).tolist()
+            self.arrays = _Arrays(eff, self.sorted, sys.n)
+        else:
+            self.keff = enumerate_k_efficient(sys, fam.k)
 
     def eff(self, mask: int) -> bool:
         return self.sys.values[mask] <= self.k
@@ -239,14 +297,6 @@ def _ax_p4(c: _Ctx):
         if not _decided_below(c, a):
             return (a,)
     return None
-
-
-def _ax_sb2(c: _Ctx):
-    return _ax_q3(c)
-
-
-def _ax_pi2(c: _Ctx):
-    return _ax_q1(c)
 
 
 def _ax_l1(c: _Ctx):
@@ -417,14 +467,14 @@ _AXIOMS = {
     "tangle": [("T1", _ax_q0), ("T2", _ax_q4), ("T3", _ax_t3), ("T4", _ax_t4)],
     "prefilter": [("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3)],
     "ultra_prefilter": [("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3), ("P4", _ax_p4)],
-    "filter_subbase": [("SB1", _ax_nonempty), ("SB2", _ax_sb2), ("SB3", _ax_q0)],
+    "filter_subbase": [("SB1", _ax_nonempty), ("SB2", _ax_q3), ("SB3", _ax_q0)],
     "ultrafilter_subbase": [
         ("SB1", _ax_nonempty),
-        ("SB2", _ax_sb2),
+        ("SB2", _ax_q3),
         ("SB3", _ax_q0),
         ("SB4", _ax_p4),
     ],
-    "pi_system": [("PI1", _ax_nonempty), ("PI2", _ax_pi2)],
+    "pi_system": [("PI1", _ax_nonempty), ("PI2", _ax_q1)],
     "lambda_system": [("L1", _ax_l1), ("L2", _ax_l2), ("L3", _ax_l3)],
     "superfilter": [("SUF1", _ax_q0), ("SUF2", _ax_q2), ("SUF3", _ax_suf3)],
     "sigma_filter": [("SIF1", _ax_sif1), ("SIF2", _ax_q2), ("SIF3", _ax_sif3)],
@@ -435,10 +485,26 @@ _AXIOMS = {
 }
 
 
+# Whole-array decisions: each is true exactly when the scan it is keyed by
+# finds a witness, so that scan runs only to produce the witness.
+_FAILS_ON_ARRAYS = {
+    _ax_q0: lambda a: (a.mem & ~a.eff).any(),
+    _ax_q1: lambda a: a.any_pair(np.bitwise_and, a.bad),
+    _ax_q2: lambda a: (a.bad & a.down).any(),
+    _ax_q4: lambda a: (a.bad & ~a.mem[::-1]).any(),
+    # some three members cover X iff a complement lies inside the union of two
+    _ax_t3: lambda a: a.any_pair(np.bitwise_or, a.co_down),
+}
+
+
 def _derived_flags(kind: str, c: _Ctx) -> dict:
     derived = {}
     if kind in ("filter", "ultrafilter") and len(c.members) <= DERIVED_TRIPLE_MAX_MEMBERS:
-        ft1 = all(a & b & d for a, b, d in combinations_with_replacement(c.sorted, 3))
+        if c.arrays is not None:
+            # a & b & d == 0 iff d lies inside X - (a & b); down[::-1][u] is down[X ^ u]
+            ft1 = not c.arrays.any_pair(np.bitwise_and, c.arrays.down[::-1])
+        else:
+            ft1 = all(a & b & d for a, b, d in combinations_with_replacement(c.sorted, 3))
         derived["FT1"] = ft1
     if kind in ("single_filter", "single_ultrafilter"):
         derived["QS1"] = _ax_qs1(c) is None
@@ -472,9 +538,14 @@ def check_family(
     if kind in NONEMPTY_KINDS:
         axioms = [("nonempty", _ax_nonempty)] + axioms
     for label, fn in axioms:
+        fails = _FAILS_ON_ARRAYS.get(fn) if c.arrays is not None else None
+        if fails is not None and not fails(c.arrays):
+            continue
         witness = fn(c)
         if witness is not None:
             return Verdict(False, label, tuple(witness[:3]), _derived_flags(kind, c))
+        if fails is not None:
+            raise RuntimeError(f"axiom {label} fails on the membership arrays but its scan finds no witness")
     return Verdict(True, None, (), _derived_flags(kind, c))
 
 

@@ -43,10 +43,12 @@ def instance_from_dict(data: dict, seed: int = 0) -> ConnectivitySystem:
                 raise InputError(str(exc)) from None
             table[mask] = val
         return ConnectivitySystem.from_table(labels, table, seed=seed)
-    if kind == "graph_edge_cut":
-        return ConnectivitySystem.from_edge_cut(labels, fn["vertices"], fn["edges"], seed=seed)
-    if kind == "graph_vertex_cut":
-        return ConnectivitySystem.from_vertex_cut(labels, fn["vertices"], fn["edges"], seed=seed)
+    if kind in ("graph_edge_cut", "graph_vertex_cut"):
+        for key in ("vertices", "edges"):
+            if key not in fn:
+                raise InputError(f"{kind} function needs a {key!r} key")
+        build = ConnectivitySystem.from_edge_cut if kind == "graph_edge_cut" else ConnectivitySystem.from_vertex_cut
+        return build(labels, fn["vertices"], fn["edges"], seed=seed)
     raise InputError(f"unknown function type {kind!r}")
 
 

@@ -65,3 +65,25 @@ def all_three_element_systems(values=(0, 1, 2)):
                 except SubmodularityViolation:
                     continue
     return systems
+
+
+def connected_graphs_with_edges(min_edges, max_edges):
+    """All connected simple graphs with edge counts in range, up to isomorphism."""
+    import networkx as nx
+
+    graphs = []
+    for g in nx.graph_atlas_g()[1:]:
+        m = g.number_of_edges()
+        if min_edges <= m <= max_edges and nx.is_connected(g):
+            graphs.append(nx.convert_node_labels_to_integers(g))
+    if min_edges <= 7 <= max_edges:
+        # the atlas stops at 7 vertices; 7-edge connected graphs on 8 vertices are trees
+        for t in nx.nonisomorphic_trees(8):
+            graphs.append(nx.convert_node_labels_to_integers(t))
+    return graphs
+
+
+def edge_cut_system(graph):
+    edges = sorted(tuple(sorted(e)) for e in graph.edges())
+    labels = [f"e{i}" for i in range(len(edges))]
+    return ConnectivitySystem.from_edge_cut(labels, graph.number_of_nodes(), edges)

@@ -103,6 +103,17 @@ def oracle_family_holds(values, n, members, k, kind):
     raise ValueError(kind)
 
 
+def oracle_ft1(members):
+    """Whether every three members, repeats allowed, have a common element."""
+    F = sorted(set(members))
+    for i in range(len(F)):
+        for j in range(i, len(F)):
+            for l in range(j, len(F)):
+                if F[i] & F[j] & F[l] == 0:
+                    return False
+    return True
+
+
 def oracle_cut_values(kind, n, vertices, edges):
     """Cut values of every subset of the n-element ground set, straight from the definitions.
 
@@ -309,27 +320,3 @@ def oracle_greedy_ultrafilter(values, n, k, base):
         assert grown, "neither side of an undecided pair closes"
         members = grown[0]
     return members
-
-
-def connected_graphs_with_edges(min_edges, max_edges):
-    """All connected simple graphs with edge counts in range, up to isomorphism."""
-    import networkx as nx
-
-    graphs = []
-    for g in nx.graph_atlas_g()[1:]:
-        m = g.number_of_edges()
-        if min_edges <= m <= max_edges and nx.is_connected(g):
-            graphs.append(nx.convert_node_labels_to_integers(g))
-    if min_edges <= 7 <= max_edges:
-        # the atlas stops at 7 vertices; 7-edge connected graphs on 8 vertices are trees
-        for t in nx.nonisomorphic_trees(8):
-            graphs.append(nx.convert_node_labels_to_integers(t))
-    return graphs
-
-
-def edge_cut_system(graph):
-    from connsys import ConnectivitySystem
-
-    edges = sorted(tuple(sorted(e)) for e in graph.edges())
-    labels = [f"e{i}" for i in range(len(edges))]
-    return ConnectivitySystem.from_edge_cut(labels, graph.number_of_nodes(), edges)

@@ -35,13 +35,8 @@ from connsys.errors import (
     SymmetryViolation,
 )
 
-from .conftest import all_three_element_systems
-from .oracles import (
-    connected_graphs_with_edges,
-    edge_cut_system,
-    oracle_family_holds,
-    oracle_generate_from_subbase,
-)
+from .conftest import all_three_element_systems, connected_graphs_with_edges, edge_cut_system
+from .oracles import oracle_family_holds, oracle_generate_from_subbase
 
 _corpus_cache = {}
 

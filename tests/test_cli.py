@@ -188,6 +188,19 @@ def test_missing_file_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("graph", ["graph_edge_cut", "graph_vertex_cut"])
+@pytest.mark.parametrize("missing", ["vertices", "edges"])
+def test_missing_graph_key_exit2(files, capsys, graph, missing):
+    function = {"type": graph, "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    del function[missing]
+    inst = files("g.json", {"ground_set": ["a", "b", "c", "d"], "function": function})
+    code, report, err = run(capsys, "validate", inst)
+    assert code == 2
+    assert report is None
+    assert err.startswith("InputError: ") and repr(missing) in err
+    assert err.count("\n") == 1
+
+
 def test_report_shape_and_determinism(files, capsys):
     inst = files("c4.json", C4_EDGES)
     main(["width", "branch", inst, "--certificate"])

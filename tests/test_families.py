@@ -1,20 +1,29 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsys import (
+    ConnectivitySystem,
+    EnumerationRequest,
     SetFamily,
     check_family,
     classify_family,
     complement_family,
+    construct_ultrafilter,
+    enumerate_families,
+    extend_filter_to_ultrafilter,
     fip_check,
     truncate_order,
 )
+from connsys import families
+from connsys.core import popcount
 from connsys.errors import BoundIncrease, FipCrossCheckWarning, GroundSetMismatch, NotAFilter
 from connsys.families import KINDS
 
 from .conftest import all_three_element_systems
-from .oracles import oracle_family_holds
+from .oracles import oracle_family_holds, oracle_ft1
 
 
 def fam(members, k, n):
@@ -269,3 +278,95 @@ class TestProperness:
 def test_all_kinds_dispatch(trivial2):
     for kind in KINDS:
         check_family(trivial2, fam([0b11], 0, 2), kind)
+
+
+# Kinds whose axioms include one that is decided on membership arrays.
+ARRAY_KINDS = (
+    "filter",
+    "ultrafilter",
+    "single_ultrafilter",
+    "tangle",
+    "pi_system",
+    "closure_system",
+    "superfilter",
+    "sigma_filter",
+)
+
+
+def _random_cut_system(rng, n, vertex_cut):
+    if vertex_cut:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = rng.sample(pairs, rng.randint(n - 1, 2 * n))
+        return ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges)
+    vertices = rng.randint(5, 6)
+    pairs = [(a, b) for a in range(vertices) for b in range(a + 1, vertices)]
+    return ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], vertices, rng.sample(pairs, n))
+
+
+def _perturbed(sys, members, k, rng):
+    """Copies of members with one member dropped, or one set added of each sort that can break an axiom."""
+    ordered = sorted(members)
+    eff_out = [m for m in range(1 << sys.n) if sys.values[m] <= k and m not in members]
+    not_eff = [m for m in range(1 << sys.n) if sys.values[m] > k]
+    copies = [members | {0}]
+    if ordered:
+        copies += [members - {rng.choice(ordered)}, members | {sys.full_mask ^ rng.choice(ordered)}]
+    copies += [members | {rng.choice(pool)} for pool in (eff_out, not_eff) if pool]
+    return copies
+
+
+@pytest.fixture(scope="module")
+def cut_families():
+    """Seeded vertex- and edge-cut systems, n = 5..8, with found families and perturbed copies at every k."""
+    rng = random.Random(20240607)
+    cases = []
+    for n in range(5, 9):
+        for vertex_cut in (True, False):
+            sys = _random_cut_system(rng, n, vertex_cut)
+            for k in range(max(sys.values) + 1):
+                found = [
+                    f.members
+                    for kind in ("ultrafilter", "tangle", "single_ultrafilter")
+                    for f in enumerate_families(sys, EnumerationRequest(kind, k, limit=1))
+                ]
+                found.append(construct_ultrafilter(sys, k).members)
+                seeds = [m for m in range(1, 1 << sys.n) if sys.values[m] <= k]
+                if seeds:
+                    seed = rng.choice(seeds)
+                    principal = SetFamily(
+                        frozenset(m for m in range(1 << sys.n) if sys.values[m] <= k and m & seed == seed), k, n
+                    )
+                    found += [principal.members, extend_filter_to_ultrafilter(sys, principal).members]
+                # of a set and its complement at most one is this small, and three of them can cover X
+                # where no two do, so at odd n this family may fail T3 and nothing before it
+                found.append(frozenset(m for m in range(1 << n) if sys.values[m] <= k and 2 * popcount(m) < n))
+                for members in found:
+                    for variant in [members, *_perturbed(sys, members, k, rng)]:
+                        cases.append((sys, SetFamily(frozenset(variant), k, n)))
+    return cases
+
+
+class TestMembershipArrays:
+    def test_arrays_and_literal_scans_agree(self, cut_families, monkeypatch):
+        failed_above_gate = set()
+        for sys, family in cut_families:
+            for kind in ARRAY_KINDS:
+                monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", 0)
+                on_arrays = check_family(sys, family, kind)
+                monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", (1 << sys.n) + 1)
+                literal = check_family(sys, family, kind)
+                assert on_arrays == literal, (sys.spec_payload, family, kind)
+                assert on_arrays.derived == literal.derived, (sys.spec_payload, family, kind)
+                if len(family) > 16 and not literal.holds:
+                    failed_above_gate.add(literal.violated_axiom)
+        # every array-decided axiom, under each of its labels, fails on some family above the gate
+        assert failed_above_gate >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2"}
+
+    def test_ft1_matches_the_triple_oracle(self, cut_families):
+        seen = set()
+        for sys, family in cut_families:
+            if 17 <= len(family) <= families.DERIVED_TRIPLE_MAX_MEMBERS:
+                want = oracle_ft1(family.members)
+                assert check_family(sys, family, "filter").derived["FT1"] is want
+                seen.add(want)
+        assert seen == {True, False}

@@ -13,8 +13,8 @@ from connsys import (
 )
 from connsys.core import enumerate_k_efficient
 
-from .conftest import all_three_element_systems
-from .oracles import connected_graphs_with_edges, edge_cut_system, oracle_branch_width
+from .conftest import all_three_element_systems, connected_graphs_with_edges, edge_cut_system
+from .oracles import oracle_branch_width
 
 
 def _families_over(keff, k, n, max_members=None):
