@@ -30,6 +30,7 @@ from .orders import (
     CHAIN_THEOREMS,
     FAMILY_THEOREMS,
     THEOREM_IDS,
+    _nonempty_efficient,
     brute_force_min_cover_size,
     find_max_antichain,
     min_chain_cover,
@@ -212,7 +213,7 @@ def _dilworth_payload(
     sys: ConnectivitySystem, k: int, brute_gate: int = BRUTE_COVER_LIMIT
 ) -> tuple[dict, bool]:
     antichain = find_max_antichain(sys, k)
-    family = [m for m in range(1, 1 << sys.n) if sys.values[m] <= k]
+    family = _nonempty_efficient(sys, k)
     chains = min_chain_cover(sys, family, k)
     payload = {
         "k": k,

@@ -74,7 +74,9 @@ class _PairSearch:
         self.full = sys.full_mask
         self.keff = enumerate_k_efficient(sys, k)
         self.eff_singletons = [1 << i for i in range(sys.n) if sys.values[1 << i] <= k]
-        self.state = [_UNKNOWN if v <= k else _NEVER for v in sys.values]
+        self.state = [_NEVER] * (1 << sys.n)
+        for m in self.keff:
+            self.state[m] = _UNKNOWN
         self.ins: list[int] = []  # members in the order they were put in
         self.trail: list[int] = []  # every decided set in decision order
         self.ops = 0

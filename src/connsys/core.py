@@ -1,10 +1,12 @@
 """Ground sets, subsets as bitmasks, and validated symmetric submodular functions.
 
 Subsets are plain ints: bit i set means element i of the ground set is in.
-Every downstream search is evaluation-bound, so function values are memoized
-at construction time as a tuple of 2^n Python ints, indexed by mask.  They are
-built and validated as one numpy array, with whole-array operations in place
-of loops over the masks.
+Function values are built and validated as one numpy array, with whole-array
+operations in place of loops over the masks, and memoized at construction
+time in two forms, both indexed by mask: a tuple of 2^n Python ints for the
+scalar lookups of the searches, and the validated array, read-only and in
+the narrowest unsigned dtype that holds max f, for scans over all subsets
+such as the k-efficient index.
 """
 
 from __future__ import annotations
@@ -140,17 +142,22 @@ def vertex_cut_values(vertices: int, edges: list[tuple[int, int]]) -> np.ndarray
 
 
 def complete_table(ground: GroundSet, table: dict[int, int]) -> np.ndarray:
-    """Fill missing subset values by symmetry from complements; require totality after."""
-    full = ground.full_mask
-    for mask, val in table.items():
-        if mask < 0 or mask > full:
-            raise TableIncomplete(f"subset mask {mask:#x} outside the ground set")
-        if val < 0:
-            raise NormalizationViolation(f"negative value {val} for subset {ground.subset_key(mask)!r}")
-        if val > MAX_VALUE:
-            raise InputError(f"value {val} for subset {ground.subset_key(mask)!r} exceeds {MAX_VALUE}")
+    """Fill missing subset values by symmetry from complements; require totality after.
+
+    table maps int masks to int values, not bools. The entries are checked on
+    whole arrays; a failing check reports the first bad entry in table order.
+    """
+    if not set(map(type, table.values())) <= {int}:
+        _reject_first_bad_entry(ground, table)
+    try:
+        masks = np.fromiter(table.keys(), np.int64, len(table))
+        vals = np.fromiter(table.values(), np.int64, len(table))
+    except OverflowError:  # some mask or value beyond int64
+        _reject_first_bad_entry(ground, table)
+    if ((masks < 0) | (masks > ground.full_mask) | (vals < 0) | (vals > MAX_VALUE)).any():
+        _reject_first_bad_entry(ground, table)
     values = np.full(1 << ground.n, -1, dtype=np.int64)  # -1 marks a missing value
-    values[np.fromiter(table.keys(), np.int64, len(table))] = np.fromiter(table.values(), np.int64, len(table))
+    values[masks] = vals
     # values[::-1][mask] is the value of the complement full ^ mask
     values = np.where(values < 0, values[::-1], values)
     missing = np.flatnonzero(values < 0)
@@ -159,6 +166,20 @@ def complete_table(ground: GroundSet, table: dict[int, int]) -> np.ndarray:
             f"no value for subset {ground.subset_key(int(missing[0]))!r} or its complement"
         )
     return values
+
+
+def _reject_first_bad_entry(ground: GroundSet, table: dict[int, int]) -> None:
+    """Raise for the first entry, in table order, whose mask or value is not allowed."""
+    for mask, val in table.items():
+        if mask < 0 or mask > ground.full_mask:
+            raise TableIncomplete(f"subset mask {mask:#x} outside the ground set")
+        if type(val) is not int:
+            raise InputError(f"value {val!r} for subset {ground.subset_key(mask)!r} is not an integer")
+        if val < 0:
+            raise NormalizationViolation(f"negative value {val} for subset {ground.subset_key(mask)!r}")
+        if val > MAX_VALUE:
+            raise InputError(f"value {val} for subset {ground.subset_key(mask)!r} exceeds {MAX_VALUE}")
+    raise RuntimeError("the whole-array table checks and the entry scan disagree")
 
 
 def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:
@@ -223,12 +244,15 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
 class ConnectivitySystem:
     """A ground set with a total, validated symmetric submodular function.
 
-    Immutable after construction; safe for concurrent reads.
+    Immutable after construction; safe for concurrent reads. ``values`` and
+    ``array`` hold the same function; ``array`` is derived from it and takes
+    no part in equality or hashing.
     """
 
     ground: GroundSet
     values: tuple[int, ...]
     spec_kind: str
+    array: np.ndarray = field(compare=False, repr=False)
     spec_payload: dict = field(default_factory=dict, compare=False)
     validation: dict = field(default_factory=dict, compare=False)
 
@@ -245,33 +269,37 @@ class ConnectivitySystem:
 
     @property
     def max_value(self) -> int:
-        return max(self.values)
+        return int(self.array.max())
 
     @classmethod
-    def _build(cls, ground, values: np.ndarray, spec_kind, spec_payload):
+    def _build(cls, ground, values: np.ndarray, spec_kind, spec_payload) -> "ConnectivitySystem":
+        """Validate values and keep them; spec_payload() is called once they have passed."""
         if values[0] != 0:
             raise NormalizationViolation(f"f(empty set) = {values[0]} but must be 0")
         if values[ground.full_mask] != 0:
             raise NormalizationViolation(f"f(X) = {values[ground.full_mask]} but must be 0")
         _check_symmetry(ground, values)
         info = _check_submodularity(ground, values)
-        return cls(ground, tuple(values.tolist()), spec_kind, spec_payload, info)
+        array = values.astype(np.min_scalar_type(int(values.max())))
+        array.flags.writeable = False
+        return cls(ground, tuple(values.tolist()), spec_kind, array, spec_payload(), info)
 
     # The `seed` parameters of the constructors are accepted and ignored:
     # validation is exact and draws no random numbers.
 
     @classmethod
     def from_table(cls, labels, table: dict, seed: int = 0) -> "ConnectivitySystem":
-        """table maps subset masks (or label iterables) to natural values."""
+        """table maps subset masks (or label iterables) to natural values: ints, not bools."""
         ground = GroundSet(tuple(labels))
-        by_mask = {}
-        for key, val in table.items():
-            mask = key if isinstance(key, int) else ground.mask_of(key)
-            if mask in by_mask and by_mask[mask] != val:
-                raise TableIncomplete(f"conflicting values for subset {ground.subset_key(mask)!r}")
-            by_mask[mask] = val
+        by_mask = table
+        if not set(map(type, table)) <= {int}:
+            by_mask = {}
+            for key, val in table.items():
+                mask = key if isinstance(key, int) else ground.mask_of(key)
+                if by_mask.setdefault(mask, val) != val:
+                    raise TableIncomplete(f"conflicting values for subset {ground.subset_key(mask)!r}")
         values = complete_table(ground, by_mask)
-        return cls._build(ground, values, "table", {"values": dict(by_mask)})
+        return cls._build(ground, values, "table", lambda: {"values": dict(by_mask)})
 
     @classmethod
     def from_edge_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
@@ -281,7 +309,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per edge is required")
         _check_simple_graph(vertices, edges)
         values = edge_cut_values(ground.n, vertices, edges)
-        return cls._build(ground, values, "graph_edge_cut", {"vertices": vertices, "edges": edges})
+        return cls._build(ground, values, "graph_edge_cut", lambda: {"vertices": vertices, "edges": edges})
 
     @classmethod
     def from_vertex_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
@@ -291,7 +319,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per vertex is required")
         _check_simple_graph(vertices, edges)
         values = vertex_cut_values(vertices, edges)
-        return cls._build(ground, values, "graph_vertex_cut", {"vertices": vertices, "edges": edges})
+        return cls._build(ground, values, "graph_vertex_cut", lambda: {"vertices": vertices, "edges": edges})
 
 
 def _check_simple_graph(vertices: int, edges) -> None:
@@ -309,4 +337,4 @@ def _check_simple_graph(vertices: int, edges) -> None:
 
 def enumerate_k_efficient(sys: ConnectivitySystem, k: int) -> list[int]:
     """All subsets with f(A) <= k, in increasing bitmask order."""
-    return [mask for mask in range(1 << sys.n) if sys.values[mask] <= k]
+    return (sys.array <= k).nonzero()[0].tolist()

@@ -168,11 +168,12 @@ class _Ctx:
         self.sorted = fam.sorted_members()
         self.arrays = None
         if len(fam.members) >= ARRAY_MIN_MEMBERS:
-            eff = np.fromiter(sys.values, np.int64, len(sys.values)) <= fam.k
-            self.keff = np.flatnonzero(eff).tolist()
-            self.arrays = _Arrays(eff, self.sorted, sys.n)
-        else:
-            self.keff = enumerate_k_efficient(sys, fam.k)
+            self.arrays = _Arrays(sys.array <= fam.k, self.sorted, sys.n)
+
+    @cached_property
+    def keff(self) -> list[int]:
+        # lazy: many verdicts are reached before any axiom that scans it
+        return enumerate_k_efficient(self.sys, self.k)
 
     def eff(self, mask: int) -> bool:
         return self.sys.values[mask] <= self.k

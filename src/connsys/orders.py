@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
 from .errors import (
     ChainOrderBroken,
@@ -221,32 +223,39 @@ def find_sequence_chain(
 ) -> Chain | None:
     """A nested chain from the empty set to X with all values at most k, or None.
 
-    Breadth-first over k-efficient subsets with lowest-bitmask expansion; in
-    single-element mode each step adds exactly one element.
+    In single-element mode each step adds exactly one element, and the chain
+    is the one a breadth-first search finds when it expands each set by its
+    absent elements in ascending order. Otherwise (empty set, X) is such a
+    chain whenever k >= 0, since f vanishes on both.
     """
     full = sys.full_mask
     if sys.values[0] > k:
         return None
-    parent = {0: None}
-    queue = [0]
-    while queue:
-        cur = queue.pop(0)
-        if cur == full:
-            path = []
-            node = cur
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            return make_chain(sys, reversed(path), k)
-        if single_element:
-            nexts = [cur | (1 << i) for i in range(sys.n) if not cur >> i & 1]
-        else:
-            nexts = [m for m in range(cur + 1, (1 << sys.n)) if cur & ~m == 0 and m != cur]
-        for nxt in nexts:
-            if nxt not in parent and sys.values[nxt] <= k:
-                parent[nxt] = cur
-                queue.append(nxt)
-    return None
+    if not single_element:
+        return make_chain(sys, (0, full), k)
+    eff = sys.array <= k
+    bits = 1 << np.arange(sys.n, dtype=np.int64)
+    first = np.empty(1 << sys.n, dtype=np.int64)  # first[S]: where S is first reached in its layer
+    layers = [np.zeros(1, dtype=np.int64)]  # the sets of each size reached, in queue order
+    parents = []  # parents[i][j]: index in layers[i] of the set that reached layers[i + 1][j]
+    for _ in range(sys.n):
+        layer = layers[-1]
+        cand = layer[:, None] | bits  # row-major: by queue position, then by added element
+        keep = np.flatnonzero((cand != layer[:, None]) & eff[cand])
+        if not keep.size:
+            return None
+        reached = cand.ravel()[keep]
+        order = np.arange(reached.size)
+        first[reached] = reached.size  # above every position, then lowered to the first
+        np.minimum.at(first, reached, order)
+        new = first[reached] == order  # first discoveries, in the order a FIFO queue makes them
+        layers.append(reached[new])
+        parents.append(keep[new] // sys.n)
+    path, at = [full], 0  # the last layer is X alone
+    for layer, parent in zip(reversed(layers[:-1]), reversed(parents)):
+        at = parent[at]
+        path.append(int(layer[at]))
+    return make_chain(sys, reversed(path), k)
 
 
 def chain_extend_single(sys: ConnectivitySystem, chain: Chain, element: int) -> Chain:
@@ -392,7 +401,7 @@ def _audit_t38(sys, k) -> AuditReport:
             (),
             "vacuous: no ultrafilter of order 0 is representable",
         )
-    tops = [m for m in enumerate_k_efficient(sys, k) if sys.values[m] == k]
+    tops = (sys.array == k).nonzero()[0].tolist()
     ufs = _enumerate_ultrafilters(sys, k - 1)
     for top in tops:
         for uf in ufs:

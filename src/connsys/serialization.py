@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .core import ConnectivitySystem, GroundSet
+from .core import ConnectivitySystem
 from .decomposition import BranchDecomposition, LinearOrdering, WidthResult
 from .errors import InputError, MalformedTree
 from .families import FamilyFlags, SetFamily, Verdict
@@ -34,15 +34,12 @@ def instance_from_dict(data: dict, seed: int = 0) -> ConnectivitySystem:
     fn = data["function"]
     kind = fn.get("type")
     if kind == "table":
-        ground = GroundSet(tuple(labels))
-        table = {}
-        for key, val in fn.get("values", {}).items():
-            try:
-                mask = ground.mask_from_key(key)
-            except KeyError as exc:
-                raise InputError(str(exc)) from None
-            table[mask] = val
-        return ConnectivitySystem.from_table(labels, table, seed=seed)
+        # label tuples, so that from_table finds keys that name one subset twice
+        table = {tuple(key.split(",")) if key else (): val for key, val in fn.get("values", {}).items()}
+        try:
+            return ConnectivitySystem.from_table(labels, table, seed=seed)
+        except KeyError as exc:  # an unknown element label
+            raise InputError(str(exc)) from None
     if kind in ("graph_edge_cut", "graph_vertex_cut"):
         for key in ("vertices", "edges"):
             if key not in fn:

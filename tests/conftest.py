@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from connsys import ConnectivitySystem
@@ -24,6 +26,22 @@ def k4_edge():
         4,
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     )
+
+
+@pytest.fixture(scope="session")
+def seeded_cut_systems():
+    """A vertex-cut and an edge-cut system of a random graph for each n = 3..10."""
+    rng = random.Random(71018)
+    systems = []
+    for n in range(3, 11):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(n - 1, min(len(pairs), 2 * n)))
+        systems.append(ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges))
+        vertices = rng.choice([v for v in range(3, 8) if v * (v - 1) // 2 >= n])
+        pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+        edges = sorted(rng.sample(pairs, n))
+        systems.append(ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], vertices, edges))
+    return systems
 
 
 @pytest.fixture(scope="session")

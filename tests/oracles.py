@@ -320,3 +320,41 @@ def oracle_greedy_ultrafilter(values, n, k, base):
         assert grown, "neither side of an undecided pair closes"
         members = grown[0]
     return members
+
+
+def oracle_k_efficient(values, k):
+    """Every mask with value at most k, ascending."""
+    return [mask for mask in range(len(values)) if values[mask] <= k]
+
+
+def oracle_sequence_chain(values, n, k, single_element=True):
+    """The chain from the empty set to X that a FIFO breadth-first search finds, or None.
+
+    Each set taken from the queue is expanded, in ascending order, by its
+    absent elements (by all its strict supersets when single_element is
+    false); a set keeps the first set that reached it as its parent.
+    """
+    full = (1 << n) - 1
+    if values[0] > k:
+        return None
+    parent = {0: None}
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        cur = queue[head]
+        head += 1
+        if cur == full:
+            path = []
+            while cur is not None:
+                path.append(cur)
+                cur = parent[cur]
+            return tuple(reversed(path))
+        if single_element:
+            nexts = [cur | 1 << i for i in range(n) if not cur >> i & 1]
+        else:
+            nexts = [m for m in range(cur + 1, full + 1) if cur & ~m == 0]
+        for nxt in nexts:
+            if nxt not in parent and values[nxt] <= k:
+                parent[nxt] = cur
+                queue.append(nxt)
+    return None

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import connsys
 from connsys.cli import main
 
 C4_EDGES = {
@@ -81,6 +85,44 @@ def test_validate_bad_table_exit2(files, capsys):
     assert code == 2
     assert report is None
     assert "SymmetryViolation" in err
+
+
+def test_validate_conflicting_keys_exit2(files, capsys):
+    values = {"": 0, "a": 1, "b": 1, "c": 1, "a,b": 1, "b,a": 5}
+    inst = files("dup.json", {"ground_set": ["a", "b", "c"], "function": {"type": "table", "values": values}})
+    code, report, err = run(capsys, "validate", inst)
+    assert (code, report, err) == (2, None, "TableIncomplete: conflicting values for subset 'a,b'\n")
+    values["b,a"] = 1  # equal duplicates are accepted
+    inst = files("dup.json", {"ground_set": ["a", "b", "c"], "function": {"type": "table", "values": values}})
+    assert run(capsys, "validate", inst)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("a", 1.5, "InputError: value 1.5 for subset 'a' is not an integer"),
+        ("a", True, "InputError: value True for subset 'a' is not an integer"),
+        ("a", "2", "InputError: value '2' for subset 'a' is not an integer"),
+        ("a", -1, "NormalizationViolation: negative value -1 for subset 'a'"),
+        ("a", 2**62, f"InputError: value {2**62} for subset 'a' exceeds {2**62 - 1}"),
+        ("a,z", 1, "InputError: \"unknown element label 'z'\""),
+    ],
+)
+def test_table_entry_rejected_exit2(files, capsys, key, value, message):
+    values = {"": 0, key: value, "a,b": 0}
+    inst = files("t.json", {"ground_set": ["a", "b"], "function": {"type": "table", "values": values}})
+    code, report, err = run(capsys, "validate", inst)
+    assert (code, report, err) == (2, None, message + "\n")
+
+
+def test_python_m_connsys_help():
+    src = os.path.dirname(os.path.dirname(connsys.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "connsys", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: connsys")
 
 
 def test_validate_good(files, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from connsys.errors import (
     TableIncomplete,
 )
 
-from .oracles import oracle_cut_values, oracle_submodularity_witness
+from .oracles import oracle_cut_values, oracle_k_efficient, oracle_submodularity_witness
 
 
 def test_edge_cut_single_edge_boundary(c4_edge):
@@ -70,6 +72,32 @@ def test_table_completion_by_symmetry():
     assert sys.f(0b11) == 0
 
 
+def test_table_mask_outside_ground_set():
+    for mask in (0b100, -1, 2**70):
+        with pytest.raises(TableIncomplete, match=re.escape(f"subset mask {mask:#x} outside the ground set")):
+            ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b01: 1, mask: 1})
+
+
+@pytest.mark.parametrize("val", [1.5, True, "2", None, np.int64(1)])
+def test_table_values_must_be_ints(val):
+    with pytest.raises(InputError, match=re.escape(f"value {val!r} for subset 'a' is not an integer")):
+        ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b01: val, 0b11: 0})
+
+
+def test_table_first_bad_entry_is_reported():
+    with pytest.raises(NormalizationViolation, match="negative value -1 for subset 'a'"):
+        ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b01: -1, 0b10: 1.5, 0b11: 2**70})
+    with pytest.raises(InputError, match="value 1.5 for subset 'b'"):
+        ConnectivitySystem.from_table(["a", "b"], {0: 0, 0b10: 1.5, 0b01: -1})
+
+
+def test_table_conflicting_keys():
+    with pytest.raises(TableIncomplete, match="conflicting values for subset 'a,b'"):
+        ConnectivitySystem.from_table(["a", "b", "c"], {(): 0, ("a", "b"): 1, ("b", "a"): 2})
+    sys = ConnectivitySystem.from_table(["a", "b", "c"], {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 1, ("b", "a"): 1, 4: 1})
+    assert sys.values == (0, 1, 1, 1, 1, 1, 1, 0)
+
+
 def test_table_incomplete():
     with pytest.raises(TableIncomplete):
         ConnectivitySystem.from_table(["a", "b"], {0: 0})
@@ -106,6 +134,25 @@ def test_enumerate_k2_fourteen_sets(c4_edge):
 
 def test_enumerate_max_value_gives_powerset(c4_edge):
     assert enumerate_k_efficient(c4_edge, c4_edge.max_value) == list(range(16))
+
+
+def test_enumerate_matches_oracle_at_every_k(seeded_cut_systems):
+    wide = ConnectivitySystem.from_table(["a", "b", "c"], {0: 0, 0b001: 300, 0b010: 300, 0b100: 300})
+    for sys in seeded_cut_systems + [wide]:
+        assert sys.array.dtype == (np.uint16 if sys is wide else np.uint8)
+        for k in [*range(-1, sys.max_value + 2), 256, 2**70]:
+            assert enumerate_k_efficient(sys, k) == oracle_k_efficient(sys.values, k), (sys.spec_payload, k)
+
+
+def test_value_array_is_read_only_and_outside_equality(c4_vertex):
+    assert c4_vertex.array.tolist() == list(c4_vertex.values)
+    with pytest.raises(ValueError):
+        c4_vertex.array[1] = 0
+    table = {m: c4_vertex.f(m) for m in range(16)}
+    first = ConnectivitySystem.from_table(["1", "2", "3", "4"], table)
+    second = ConnectivitySystem.from_table(["1", "2", "3", "4"], dict(reversed(table.items())))
+    assert first == second and hash(first) == hash(second)
+    assert first.array is not second.array
 
 
 def test_enumerate_monotone_and_complement_closed(k4_edge):

@@ -22,6 +22,7 @@ from connsys.errors import (
 from connsys.orders import THEOREM_IDS
 
 from .conftest import all_three_element_systems
+from .oracles import oracle_sequence_chain
 
 
 class TestChainTypes:
@@ -113,8 +114,22 @@ class TestSequenceChain:
         assert got.sets == (0, 0b0001, 0b0011, 0b0111, 0b1111)
 
     def test_general_mode_can_jump(self, c4_edge):
-        got = find_sequence_chain(c4_edge, 1, single_element=False)
-        assert got is not None and got.sets[0] == 0 and got.sets[-1] == 0b1111
+        assert find_sequence_chain(c4_edge, 1, single_element=False).sets == (0, 0b1111)
+
+    def test_no_chain_below_zero(self, c4_edge):
+        assert find_sequence_chain(c4_edge, -1) is None
+        assert find_sequence_chain(c4_edge, -1, single_element=False) is None
+
+    def test_matches_the_fifo_search(self, seeded_cut_systems):
+        for sys in seeded_cut_systems:
+            for k in [*range(-1, sys.max_value + 2), 256]:
+                got = find_sequence_chain(sys, k)
+                want = oracle_sequence_chain(sys.values, sys.n, k)
+                assert (got.sets if got else None) == want, (sys.spec_payload, k)
+                if sys.n <= 7:
+                    got = find_sequence_chain(sys, k, single_element=False)
+                    want = oracle_sequence_chain(sys.values, sys.n, k, single_element=False)
+                    assert (got.sets if got else None) == want, (sys.spec_payload, k)
 
 
 class TestChainOps:
