@@ -56,8 +56,6 @@ BRUTE_COVER_LIMIT = 15
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="connsys", description=__doc__)
-    p.add_argument("--seed", type=int, default=0, help="ignored; kept for compatibility (validation is exact)")
-    p.add_argument("--parallel", type=int, default=1, help="ignored; kept for compatibility (widths are exact subset DPs)")
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -304,7 +302,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
-        system = load_instance(args.instance, seed=args.seed)
+        system = load_instance(args.instance)
         result, code = _HANDLERS[args.verb](args, system)
     except ConnSysError as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)

@@ -75,9 +75,9 @@ class GroundSet:
         if len(self.labels) > limit:
             raise GroundSetTooLarge(f"ground set of size {len(self.labels)} exceeds the cap of {limit}")
         if any(not lab for lab in self.labels):
-            raise ValueError("element labels must be non-empty")
+            raise InputError("element labels must be non-empty")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("element labels must be unique")
+            raise InputError("element labels must be unique")
 
     @property
     def n(self) -> int:
@@ -284,11 +284,8 @@ class ConnectivitySystem:
         array.flags.writeable = False
         return cls(ground, tuple(values.tolist()), spec_kind, array, spec_payload(), info)
 
-    # The `seed` parameters of the constructors are accepted and ignored:
-    # validation is exact and draws no random numbers.
-
     @classmethod
-    def from_table(cls, labels, table: dict, seed: int = 0) -> "ConnectivitySystem":
+    def from_table(cls, labels, table: dict) -> "ConnectivitySystem":
         """table maps subset masks (or label iterables) to natural values: ints, not bools."""
         ground = GroundSet(tuple(labels))
         by_mask = table
@@ -302,7 +299,7 @@ class ConnectivitySystem:
         return cls._build(ground, values, "table", lambda: {"values": dict(by_mask)})
 
     @classmethod
-    def from_edge_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
+    def from_edge_cut(cls, labels, vertices: int, edges) -> "ConnectivitySystem":
         ground = GroundSet(tuple(labels))
         edges = [tuple(e) for e in edges]
         if len(edges) != ground.n:
@@ -312,7 +309,7 @@ class ConnectivitySystem:
         return cls._build(ground, values, "graph_edge_cut", lambda: {"vertices": vertices, "edges": edges})
 
     @classmethod
-    def from_vertex_cut(cls, labels, vertices: int, edges, seed: int = 0) -> "ConnectivitySystem":
+    def from_vertex_cut(cls, labels, vertices: int, edges) -> "ConnectivitySystem":
         ground = GroundSet(tuple(labels))
         edges = [tuple(e) for e in edges]
         if vertices != ground.n:

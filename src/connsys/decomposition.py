@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .construction import EnumerationRequest, enumerate_families
 from .core import ConnectivitySystem, gate_limit, popcount
 from .errors import (
     GroundSetTooLargeForExhaustiveSearch,
@@ -151,7 +152,7 @@ def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
     return best
 
 
-def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
+def branch_width(sys: ConnectivitySystem) -> WidthResult:
     """Exact branch-width with a certificate, by a bottom-up subset DP.
 
     Leaf x = n-1 hangs off the root of a rooted binary tree on X - x. For a
@@ -159,7 +160,7 @@ def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
     edge above S and every edge below it: f(S) for a singleton, else the larger of f(S) and the
     minimum over splits S = B + C of max(h(B), h(C)), where B holds the lowest
     element of S (Robertson & Seymour, Graph Minors X). The width is
-    h(X - x). `parallel` is accepted and ignored.
+    h(X - x).
     """
     n = sys.n
     limit = gate_limit(WIDTH_MAX_N)
@@ -217,14 +218,13 @@ def branch_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
     return WidthResult(width, cert)
 
 
-def linear_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
+def linear_width(sys: ConnectivitySystem) -> WidthResult:
     """Exact linear-width with the lexicographically first optimal ordering.
 
     A subset DP from the full set downward: h(P) is the least possible maximum
     of f over P and the proper prefixes after it, in O(n * 2^n). The width is
     the larger of h(empty) and the largest singleton value; the ordering takes,
     at each step, the smallest element that keeps within the width.
-    `parallel` is accepted and ignored.
     """
     n = sys.n
     limit = gate_limit(WIDTH_MAX_N)
@@ -259,8 +259,6 @@ def linear_width(sys: ConnectivitySystem, parallel: int = 1) -> WidthResult:
 
 def duality_audit(sys: ConnectivitySystem, k: int, kind: str) -> DualityVerdict:
     """Compare the width side and the obstruction side of a duality, independently."""
-    from .construction import EnumerationRequest, enumerate_families
-
     if kind not in ("ultrafilter", "tangle", "single_ultrafilter"):
         raise InvalidParameter(f"no duality audit for kind {kind!r}")
     if kind == "single_ultrafilter":

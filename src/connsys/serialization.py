@@ -16,7 +16,7 @@ from .families import FamilyFlags, SetFamily, Verdict
 from .orders import AuditReport, Chain
 
 
-def load_instance(path: str, seed: int = 0) -> ConnectivitySystem:
+def load_instance(path: str) -> ConnectivitySystem:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -24,20 +24,27 @@ def load_instance(path: str, seed: int = 0) -> ConnectivitySystem:
         raise InputError(f"instance file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
-    return instance_from_dict(data, seed=seed)
+    return instance_from_dict(data)
 
 
-def instance_from_dict(data: dict, seed: int = 0) -> ConnectivitySystem:
+def instance_from_dict(data: dict) -> ConnectivitySystem:
     if not isinstance(data, dict) or "ground_set" not in data or "function" not in data:
         raise InputError("instance JSON needs 'ground_set' and 'function' keys")
     labels = data["ground_set"]
     fn = data["function"]
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise InputError("'ground_set' must be a list of strings")
+    if not isinstance(fn, dict):
+        raise InputError("'function' must be an object")
     kind = fn.get("type")
     if kind == "table":
+        values = fn.get("values", {})
+        if not isinstance(values, dict):
+            raise InputError("table function needs a 'values' object")
         # label tuples, so that from_table finds keys that name one subset twice
-        table = {tuple(key.split(",")) if key else (): val for key, val in fn.get("values", {}).items()}
+        table = {tuple(key.split(",")) if key else (): val for key, val in values.items()}
         try:
-            return ConnectivitySystem.from_table(labels, table, seed=seed)
+            return ConnectivitySystem.from_table(labels, table)
         except KeyError as exc:  # an unknown element label
             raise InputError(str(exc)) from None
     if kind in ("graph_edge_cut", "graph_vertex_cut"):
@@ -45,7 +52,7 @@ def instance_from_dict(data: dict, seed: int = 0) -> ConnectivitySystem:
             if key not in fn:
                 raise InputError(f"{kind} function needs a {key!r} key")
         build = ConnectivitySystem.from_edge_cut if kind == "graph_edge_cut" else ConnectivitySystem.from_vertex_cut
-        return build(labels, fn["vertices"], fn["edges"], seed=seed)
+        return build(labels, fn["vertices"], fn["edges"])
     raise InputError(f"unknown function type {kind!r}")
 
 

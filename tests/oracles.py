@@ -327,12 +327,11 @@ def oracle_k_efficient(values, k):
     return [mask for mask in range(len(values)) if values[mask] <= k]
 
 
-def oracle_sequence_chain(values, n, k, single_element=True):
+def oracle_sequence_chain(values, n, k):
     """The chain from the empty set to X that a FIFO breadth-first search finds, or None.
 
     Each set taken from the queue is expanded, in ascending order, by its
-    absent elements (by all its strict supersets when single_element is
-    false); a set keeps the first set that reached it as its parent.
+    absent elements; a set keeps the first set that reached it as its parent.
     """
     full = (1 << n) - 1
     if values[0] > k:
@@ -349,12 +348,45 @@ def oracle_sequence_chain(values, n, k, single_element=True):
                 path.append(cur)
                 cur = parent[cur]
             return tuple(reversed(path))
-        if single_element:
-            nexts = [cur | 1 << i for i in range(n) if not cur >> i & 1]
-        else:
-            nexts = [m for m in range(cur + 1, full + 1) if cur & ~m == 0]
-        for nxt in nexts:
+        for nxt in [cur | 1 << i for i in range(n) if not cur >> i & 1]:
             if nxt not in parent and values[nxt] <= k:
                 parent[nxt] = cur
                 queue.append(nxt)
+    return None
+
+
+def oracle_all_chains(sets):
+    """Every non-empty chain of the given ascending masks, as tuples, DFS in ascending order."""
+
+    def extend(chosen):
+        yield tuple(chosen)
+        top = chosen[-1]
+        for m in sets:
+            if m != top and top & ~m == 0:
+                chosen.append(m)
+                yield from extend(chosen)
+                chosen.pop()
+
+    for start in sets:
+        yield from extend([start])
+
+
+def oracle_t36(values, k, ultrafilters):
+    """T3.6 by brute force: the first chain of k-efficient sets and ultrafilter of order k+1
+    (given as member sets, in order) where the chain does not have exactly one member in
+    the ultrafilter, as (chain, ultrafilter), or None."""
+    for chain in oracle_all_chains(oracle_k_efficient(values, k)):
+        for uf in ultrafilters:
+            if sum(m in uf for m in chain) != 1:
+                return chain, uf
+    return None
+
+
+def oracle_t38(values, k, ultrafilters):
+    """T3.8 by brute force: the first set with f = k that is a member of one of the given
+    ultrafilters (of order k), as (set, ultrafilter), or None."""
+    for top in [m for m in range(len(values)) if values[m] == k]:
+        for uf in ultrafilters:
+            if top in uf:
+                return top, uf
     return None

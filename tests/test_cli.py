@@ -7,6 +7,7 @@ import pytest
 
 import connsys
 from connsys.cli import main
+from connsys.serialization import load_instance
 
 C4_EDGES = {
     "ground_set": ["e1", "e2", "e3", "e4"],
@@ -262,8 +263,54 @@ def test_timing_flag(files, capsys):
     assert isinstance(report["timing_ms"], float)
 
 
-def test_parallel_width(files, capsys):
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (
+            {"ground_set": ["a", "a"], "function": {"type": "table", "values": {"": 0}}},
+            "InputError: element labels must be unique",
+        ),
+        (
+            {"ground_set": ["a", "b"], "function": {"type": "table", "values": [["", 0]]}},
+            "InputError: table function needs a 'values' object",
+        ),
+        (
+            {"ground_set": "ab", "function": {"type": "table", "values": {"": 0, "a": 0}}},
+            "InputError: 'ground_set' must be a list of strings",
+        ),
+    ],
+)
+def test_malformed_instance_exit2(files, capsys, instance, message):
+    inst = files("m.json", instance)
+    code, report, err = run(capsys, "validate", inst)
+    assert (code, report, err) == (2, None, message + "\n")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--parallel"])
+def test_removed_flags_are_unknown(files, capsys, flag):
     inst = files("c4.json", C4_EDGES)
-    code, report, _ = run(capsys, "--parallel", "2", "width", "linear", inst)
-    assert code == 0
-    assert report["result"]["width"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "2", "width", "linear", inst])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_audit_all_runs_at_n5(files, capsys):
+    path_p5 = {
+        "ground_set": ["a", "b", "c", "d", "e"],
+        "function": {"type": "graph_vertex_cut", "vertices": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+    }
+    inst = files("p5.json", path_p5)
+    system = load_instance(inst)
+    code, report, err = run(capsys, "audit", inst, "--theorems", "all", "--k-range", "0..1")
+    assert code in (0, 1) and err == ""
+    for entry in report["result"]["audits"]:
+        k = entry["k"]
+        t36 = next(t for t in entry["theorems"] if t["theorem"] == "T3.6-exactly-one")
+        ufs = connsys.enumerate_families(system, connsys.EnumerationRequest("ultrafilter", k))
+        assert t36["status"] == ("counterexample_found" if ufs else "verified_at_scale")
+        if ufs:
+            chain, members = t36["witness"]
+            fam = connsys.SetFamily.of([system.ground.mask_from_key(key) for key in members], k, system.n)
+            assert connsys.check_family(system, fam, "ultrafilter").holds
+            assert sum(key in members for key in chain) != 1

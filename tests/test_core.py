@@ -166,9 +166,9 @@ def test_enumerate_monotone_and_complement_closed(k4_edge):
 
 
 def test_ground_set_label_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         GroundSet(("a", "a"))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         GroundSet(("a", ""))
     with pytest.raises(GroundSetTooLarge):
         GroundSet(tuple(f"x{i}" for i in range(21)))
@@ -199,9 +199,9 @@ def test_random_graphs_validate_and_satisfy_lemma(nv, data):
 
 
 def test_validation_exhaustive_above_scan_cutoff():
-    # a 13-element path graph is past the lowest-witness scan cutoff; the seed is ignored
+    # a 13-element path graph is past the lowest-witness scan cutoff
     edges = [(i, i + 1) for i in range(12)]
-    sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(13)], 13, edges, seed=7)
+    sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(13)], 13, edges)
     assert sys.validation == {"mode": "exhaustive", "pairs": 4**13, "seed": None}
 
 

@@ -145,9 +145,6 @@ class TestBranchWidth:
         assert result.width == best
         assert decomposition_width(sys, result.certificate) == best
 
-    def test_parallel_matches_sequential(self, k4_edge):
-        assert branch_width(k4_edge, parallel=2) == branch_width(k4_edge)
-
     def test_size_gate(self):
         n = WIDTH_MAX_N + 1
         edges = [(i, i + 1) for i in range(n - 1)]
@@ -181,9 +178,6 @@ class TestLinearWidth:
             result = linear_width(sys)
             assert result.width == best
             assert result.certificate.order == perms[widths.index(best)]
-
-    def test_parallel_matches_sequential(self, k4_edge):
-        assert linear_width(k4_edge, parallel=2) == linear_width(k4_edge)
 
 
 class TestOrderingWidth:

@@ -14,7 +14,7 @@ from connsys import (
 from connsys.core import enumerate_k_efficient
 
 from .conftest import all_three_element_systems, connected_graphs_with_edges, edge_cut_system
-from .oracles import oracle_branch_width
+from .oracles import oracle_all_chains, oracle_branch_width
 
 
 def _families_over(keff, k, n, max_members=None):
@@ -92,12 +92,10 @@ class TestSecondaryWidthScan:
 
 class TestChainExtension:
     def test_every_chain_upcloses_to_an_extendable_filter(self):
-        from connsys.orders import _all_chains
-
         for sys in all_three_element_systems((0, 1)):
             for k in range(sys.max_value + 1):
                 keff = [m for m in enumerate_k_efficient(sys, k) if m != 0]
-                for chain in _all_chains(keff):
+                for chain in oracle_all_chains(keff):
                     fam = SetFamily.of(
                         [c for c in enumerate_k_efficient(sys, k) if any(s & ~c == 0 for s in chain)],
                         k,

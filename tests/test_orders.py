@@ -1,10 +1,16 @@
+import random
+
 import pytest
 
 from connsys import (
     ConnectivitySystem,
+    EnumerationRequest,
+    SetFamily,
     brute_force_min_cover_size,
     chain_delete_single,
     chain_extend_single,
+    check_family,
+    enumerate_families,
     find_max_antichain,
     find_sequence_chain,
     make_antichain,
@@ -17,12 +23,13 @@ from connsys.errors import (
     EfficiencyViolation,
     ElementAbsent,
     ElementAlreadyPresent,
+    InvalidParameter,
     NotKEfficient,
 )
 from connsys.orders import THEOREM_IDS
 
 from .conftest import all_three_element_systems
-from .oracles import oracle_sequence_chain
+from .oracles import oracle_all_chains, oracle_k_efficient, oracle_sequence_chain, oracle_t36, oracle_t38
 
 
 class TestChainTypes:
@@ -113,12 +120,8 @@ class TestSequenceChain:
         got = find_sequence_chain(c4_edge, 2)
         assert got.sets == (0, 0b0001, 0b0011, 0b0111, 0b1111)
 
-    def test_general_mode_can_jump(self, c4_edge):
-        assert find_sequence_chain(c4_edge, 1, single_element=False).sets == (0, 0b1111)
-
     def test_no_chain_below_zero(self, c4_edge):
         assert find_sequence_chain(c4_edge, -1) is None
-        assert find_sequence_chain(c4_edge, -1, single_element=False) is None
 
     def test_matches_the_fifo_search(self, seeded_cut_systems):
         for sys in seeded_cut_systems:
@@ -126,10 +129,6 @@ class TestSequenceChain:
                 got = find_sequence_chain(sys, k)
                 want = oracle_sequence_chain(sys.values, sys.n, k)
                 assert (got.sets if got else None) == want, (sys.spec_payload, k)
-                if sys.n <= 7:
-                    got = find_sequence_chain(sys, k, single_element=False)
-                    want = oracle_sequence_chain(sys.values, sys.n, k, single_element=False)
-                    assert (got.sets if got else None) == want, (sys.spec_payload, k)
 
 
 class TestChainOps:
@@ -181,14 +180,10 @@ class TestTheoremAudits:
         assert len(reports) == 1
 
     def test_unknown_theorem_rejected(self, trivial2):
-        from connsys.errors import InvalidParameter
-
         with pytest.raises(InvalidParameter):
             run_theorem_audit(trivial2, 0, ["T0-bogus"])
 
     def test_counterexamples_reverify(self, trivial2, c4_edge):
-        from connsys import SetFamily, check_family
-
         for sys in (trivial2, c4_edge):
             for k in range(min(sys.max_value, 2) + 1):
                 for report in run_theorem_audit(sys, k):
@@ -205,6 +200,8 @@ class TestTheoremAudits:
                         )
                     elif report.theorem_id == "T3.6-exactly-one":
                         chain, uf = report.witness
+                        make_chain(sys, chain, k)
+                        assert check_family(sys, SetFamily.of(uf, k, sys.n), "ultrafilter").holds
                         hits = [m for m in chain if m in set(uf)]
                         assert len(hits) != 1
                     elif report.theorem_id == "co-tangle-filter":
@@ -221,3 +218,70 @@ class TestTheoremAudits:
             for k in range(sys.max_value + 1):
                 report = run_theorem_audit(sys, k, ["T2.32-equivalence-list"])[0]
                 assert report.status in ("verified_at_scale", "counterexample_found")
+
+
+def random_cut_systems(seed, count, max_n):
+    """Seeded vertex- and edge-cut systems of random graphs with n = 1..max_n."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        if rng.random() < 0.5:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            systems.append(ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges))
+        else:
+            vertices = next(v for v in range(2, 9) if v * (v - 1) // 2 >= n)
+            vertices = rng.randint(vertices, vertices + 2)
+            pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+            edges = sorted(rng.sample(pairs, n))
+            systems.append(ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], vertices, edges))
+    return systems
+
+
+class TestClosedFormAudits:
+    """T3.6, T3.8 and T3.9 are decided from the axioms; the brute forces are the oracles."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return random_cut_systems(80612, 40, 5)
+
+    def test_t36_matches_the_brute_force(self, systems):
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
+                report = run_theorem_audit(sys, k, ["T3.6-exactly-one"])[0]
+                found = oracle_t36(sys.values, k, [uf.members for uf in ufs])
+                if found is None:
+                    assert (report.status, report.witness, report.detail) == ("verified_at_scale", (), "")
+                else:
+                    chain, uf = found
+                    hits = sum(m in uf for m in chain)
+                    assert report.status == "counterexample_found"
+                    assert report.witness == (chain, tuple(sorted(uf)))
+                    assert report.detail == f"chain has {hits} members in the ultrafilter, not exactly one"
+
+    def test_t38_matches_the_brute_force(self, systems):
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                report = run_theorem_audit(sys, k, ["T3.8-maximal-set-exclusion"])[0]
+                assert report.status == "verified_at_scale" and report.witness == ()
+                if k == 0:
+                    assert report.detail.startswith("vacuous")
+                    continue
+                ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k - 1))
+                assert oracle_t38(sys.values, k, [uf.members for uf in ufs]) is None
+                assert report.detail == ""
+
+    def test_t39_is_vacuous(self, systems):
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                report = run_theorem_audit(sys, k, ["T3.9-no-chain-no-ultrafilter"])[0]
+                assert next(oracle_all_chains(oracle_k_efficient(sys.values, k))) == (0,)
+                assert (report.status, report.witness) == ("verified_at_scale", ())
+                assert report.detail.startswith("vacuous")
+
+    @pytest.mark.parametrize("theorem", THEOREM_IDS)
+    def test_negative_bound_rejected(self, c4_edge, theorem):
+        with pytest.raises(InvalidParameter, match="^the efficiency bound must be non-negative$"):
+            run_theorem_audit(c4_edge, -1, [theorem])
