@@ -59,12 +59,29 @@ class _PairSearch:
       uncovered;
     - putting a set out puts its complement in.
 
+    Propagation reaches the least fixpoint of these rules, and skips every
+    firing that can only re-derive a set that is already decided or queued:
+
+    - a set queued by a member's superset scan gets that member as its root,
+      for the length of one propagation, and later scans do not queue it
+      again. When it goes in, it skips its own
+      superset scan, which the root's scan contains, and it meets only the
+      members that do not contain the root: the other intersections are
+      efficient supersets of the root, so they are queued already;
+    - a single_ultrafilter member s with an efficient s - e skips its
+      superset scan, because s - e goes in too and the scan made below it
+      covers the supersets of s;
+    - a tangle member s scans once per distinct union s | t, and skips a
+      union u other than s whose complement is already out: u is then in or
+      queued, and its own pair (u, u) makes the same scan.
+
     ``run`` enumerates families: decisions are explored in ascending-bitmask
     order with the "in" branch first, so completed families come out in
     lexicographic decision-vector order (complement pairs ordered by
     representative bitmask). Construction and extension grow a filter with
     ``add``. ``ops`` counts propagation work: one per set put in and one per
-    efficient superset or member intersection examined.
+    efficient superset or member intersection examined. Skipped scans and
+    pairs are not examined, so they are not counted.
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, kind: str):
@@ -111,7 +128,9 @@ class _PairSearch:
         return True
 
     def _propagate(self, queue: list[int]) -> bool:
-        state, ins, kind = self.state, self.ins, self.kind
+        state, ins, kind, full = self.state, self.ins, self.kind, self.full
+        root: dict[int, int] = {}  # set queued by a member's superset scan -> that member
+        partners: dict[int, tuple[list[int], int]] = {}  # root -> (members without it, len(ins) seen)
         while queue:
             s = queue.pop()
             if state[s] == _IN:
@@ -122,29 +141,46 @@ class _PairSearch:
             self.trail.append(s)
             ins.append(s)
             self.ops += 1
-            if kind in ("ultrafilter", "tangle") and not self._set_out(self.full ^ s, queue):
+            if kind in ("ultrafilter", "tangle") and not self._set_out(full ^ s, queue):
                 return False
-            if kind != "tangle":
+            if kind == "tangle":
+                unions = set()
+                for t in ins:
+                    u = s | t
+                    # once full ^ u is out, u is in or queued and its own pair does this scan
+                    if u in unions or (u != s and state[full ^ u] == _OUT):
+                        continue
+                    unions.add(u)
+                    for c in self._supersets(full ^ u):
+                        if state[c] != _OUT and not self._set_out(c, queue):
+                            return False
+                continue
+            r = root.get(s)
+            rests = ()
+            if kind == "single_ultrafilter":
+                # an efficient s - e goes in too, and its supersets include those of s
+                rests = [s ^ e for e in self.eff_singletons if s & e and state[s ^ e] != _NEVER]
+            if r is None and not rests:
                 sups = self._supersets(s)
                 self.ops += len(sups)
                 for c in sups:
-                    if state[c] != _IN:
+                    if state[c] != _IN and c not in root:
                         queue.append(c)
-            if kind in ("filter", "ultrafilter"):
-                self.ops += len(ins)
-                for t in ins:
-                    if state[s & t] < _IN:
-                        queue.append(s & t)
-            elif kind == "single_ultrafilter":
-                for e in self.eff_singletons:
-                    rest = s & ~e
-                    if state[rest] < _IN:
-                        queue.append(rest)
-            elif kind == "tangle":
-                for t in ins:
-                    for c in self._supersets(self.full ^ (s | t)):
-                        if not self._set_out(c, queue):
-                            return False
+                        root[c] = s
+            if kind == "single_ultrafilter":
+                queue.extend([rest for rest in rests if state[rest] < _IN])
+                continue
+            if r is None:
+                pool = ins
+            else:
+                # members that contain r meet s in a superset of r, which r's scan queued
+                pool, seen = partners.get(r, ([], 0))
+                pool.extend([t for t in ins[seen:] if t & r != r])
+                partners[r] = pool, len(ins)
+            self.ops += len(pool)
+            for t in pool:
+                if state[s & t] < _IN:
+                    queue.append(s & t)
         return True
 
     def add(self, mask: int) -> bool:

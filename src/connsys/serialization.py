@@ -51,8 +51,16 @@ def instance_from_dict(data: dict) -> ConnectivitySystem:
         for key in ("vertices", "edges"):
             if key not in fn:
                 raise InputError(f"{kind} function needs a {key!r} key")
+        vertices, edges = fn["vertices"], fn["edges"]
+        if type(vertices) is not int or vertices < 1:
+            raise InputError(f"'vertices' must be an integer >= 1, not {vertices!r}")
+        if not isinstance(edges, list):
+            raise InputError("'edges' must be a list of vertex pairs")
+        for i, edge in enumerate(edges):
+            if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+                raise InputError(f"edge {i} in 'edges' must be a pair of integers, not {edge!r}")
         build = ConnectivitySystem.from_edge_cut if kind == "graph_edge_cut" else ConnectivitySystem.from_vertex_cut
-        return build(labels, fn["vertices"], fn["edges"])
+        return build(labels, vertices, edges)
     raise InputError(f"unknown function type {kind!r}")
 
 
@@ -70,11 +78,20 @@ def load_family(path: str, sys: ConnectivitySystem, k: int | None = None) -> Set
 def family_from_dict(data: dict, sys: ConnectivitySystem, k: int | None = None) -> SetFamily:
     if not isinstance(data, dict) or "sets" not in data:
         raise InputError("family JSON needs a 'sets' key")
-    bound = k if k is not None else data.get("k")
+    bound = k
     if bound is None:
-        raise InputError("family JSON needs a 'k' bound (or pass -k)")
+        bound = data.get("k")
+        if bound is None:
+            raise InputError("family JSON needs a 'k' bound (or pass -k)")
+        if type(bound) is not int or bound < 0:
+            raise InputError(f"family 'k' must be an integer >= 0, not {bound!r}")
+    sets = data["sets"]
+    if not isinstance(sets, list):
+        raise InputError("family 'sets' must be a list of subsets")
     members = []
-    for entry in data["sets"]:
+    for i, entry in enumerate(sets):
+        if not (isinstance(entry, str) or (isinstance(entry, list) and all(isinstance(lab, str) for lab in entry))):
+            raise InputError(f"set {i} in 'sets' must be a string or a list of strings, not {entry!r}")
         try:
             if isinstance(entry, str):
                 members.append(sys.ground.mask_from_key(entry))
@@ -82,7 +99,7 @@ def family_from_dict(data: dict, sys: ConnectivitySystem, k: int | None = None) 
                 members.append(sys.ground.mask_of(entry))
         except KeyError as exc:
             raise InputError(str(exc)) from None
-    return SetFamily(frozenset(members), int(bound), sys.n)
+    return SetFamily(frozenset(members), bound, sys.n)
 
 
 def subset_key(sys: ConnectivitySystem, mask: int) -> str:

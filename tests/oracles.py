@@ -78,23 +78,30 @@ def oracle_family_holds(values, n, members, k, kind):
                 return False
         return True
 
-    if kind in ("filter", "ultrafilter"):
+    if kind in ("filter", "ultrafilter", "single_ultrafilter"):
         if not F:
             return False
         for A in F:
             if f(A) > k:
                 return False
-        for A in F:
-            for B in F:
-                if f(A & B) <= k and (A & B) not in F:
-                    return False
+        if kind == "single_ultrafilter":
+            for A in F:
+                for e in range(n):
+                    rest = A & ~(1 << e)
+                    if f(1 << e) <= k and f(rest) <= k and rest not in F:
+                        return False
+        else:
+            for A in F:
+                for B in F:
+                    if f(A & B) <= k and (A & B) not in F:
+                        return False
         for A in F:
             for B in subsets:
                 if (A | B) == B and f(B) <= k and B not in F:
                     return False
         if 0 in F:
             return False
-        if kind == "ultrafilter":
+        if kind != "filter":
             for A in subsets:
                 if f(A) <= k and A not in F and (full ^ A) not in F:
                     return False
@@ -320,6 +327,64 @@ def oracle_greedy_ultrafilter(values, n, k, base):
         assert grown, "neither side of an undecided pair closes"
         members = grown[0]
     return members
+
+
+def oracle_closure(values, n, k, kind, ins, outs):
+    """Least fixpoint of the propagation rules of one kind, or None on a conflict.
+
+    Starts from the sets in ``ins`` put in and those in ``outs`` put out, and
+    applies the rules until nothing new follows. Sets with f > k are never
+    members. Every kind but tangle fails when the empty set is put in;
+    ultrafilter and tangle put the complement of each member out; filter,
+    ultrafilter and single_ultrafilter put in efficient supersets; filter and
+    ultrafilter put in efficient intersections of members; single_ultrafilter
+    puts in a member minus an efficient singleton, when that is efficient;
+    tangle puts out every efficient superset of what two members leave
+    uncovered; putting a set out puts its complement in. A conflict is a set
+    that is both in and out, or the empty set in. Returns (in set, out set).
+    """
+    full = (1 << n) - 1
+    eff = [m for m in range(1 << n) if values[m] <= k]
+    singletons = [1 << i for i in range(n) if values[1 << i] <= k]
+    members, out = set(), set()
+    to_add, to_remove = list(ins), list(outs)
+    while to_add or to_remove:
+        if to_remove:
+            x = to_remove.pop()
+            if values[x] > k or x in out:
+                continue
+            if x in members:
+                return None
+            out.add(x)
+            to_add.append(full ^ x)
+            continue
+        s = to_add.pop()
+        if s in members:
+            continue
+        if s in out or (s == 0 and kind != "tangle"):
+            return None
+        members.add(s)
+        if kind in ("ultrafilter", "tangle"):
+            to_remove.append(full ^ s)
+        if kind != "tangle":
+            for c in eff:
+                if c & s == s:
+                    to_add.append(c)
+        if kind in ("filter", "ultrafilter"):
+            for t in members:
+                if values[s & t] <= k:
+                    to_add.append(s & t)
+        if kind == "single_ultrafilter":
+            for e in singletons:
+                if values[s & ~e] <= k:
+                    to_add.append(s & ~e)
+        if kind == "tangle":
+            for t in members:
+                uncovered = full ^ (s | t)
+                for c in eff:
+                    if c & uncovered == uncovered:
+                        to_remove.append(c)
+    return members, out
 
 
 def oracle_k_efficient(values, k):

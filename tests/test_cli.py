@@ -314,3 +314,45 @@ def test_audit_all_runs_at_n5(files, capsys):
             fam = connsys.SetFamily.of([system.ground.mask_from_key(key) for key in members], k, system.n)
             assert connsys.check_family(system, fam, "ultrafilter").holds
             assert sum(key in members for key in chain) != 1
+
+
+@pytest.mark.parametrize("graph", ["graph_edge_cut", "graph_vertex_cut"])
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (2, [[0]], "InputError: edge 0 in 'edges' must be a pair of integers, not [0]"),
+        (2, [[0, 1, 1]], "InputError: edge 0 in 'edges' must be a pair of integers, not [0, 1, 1]"),
+        (2, [[0, True]], "InputError: edge 0 in 'edges' must be a pair of integers, not [0, True]"),
+        (2, [[0, "1"]], "InputError: edge 0 in 'edges' must be a pair of integers, not [0, '1']"),
+        (2, {"0": 1}, "InputError: 'edges' must be a list of vertex pairs"),
+        ("2", [[0, 1]], "InputError: 'vertices' must be an integer >= 1, not '2'"),
+        (True, [], "InputError: 'vertices' must be an integer >= 1, not True"),
+        (0, [], "InputError: 'vertices' must be an integer >= 1, not 0"),
+        (2.0, [[0, 1]], "InputError: 'vertices' must be an integer >= 1, not 2.0"),
+    ],
+)
+def test_malformed_graph_exit2(files, capsys, graph, vertices, edges, message):
+    function = {"type": graph, "vertices": vertices, "edges": edges}
+    inst = files("g.json", {"ground_set": ["a", "b"], "function": function})
+    code, report, err = run(capsys, "validate", inst)
+    assert (code, report, err) == (2, None, message + "\n")
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ({"k": "x", "sets": [["e1"]]}, "InputError: family 'k' must be an integer >= 0, not 'x'"),
+        ({"k": True, "sets": [["e1"]]}, "InputError: family 'k' must be an integer >= 0, not True"),
+        ({"k": -1, "sets": [["e1"]]}, "InputError: family 'k' must be an integer >= 0, not -1"),
+        ({"k": 2.0, "sets": [["e1"]]}, "InputError: family 'k' must be an integer >= 0, not 2.0"),
+        ({"k": 2, "sets": "e1"}, "InputError: family 'sets' must be a list of subsets"),
+        ({"k": 2, "sets": ["e1", 1]}, "InputError: set 1 in 'sets' must be a string or a list of strings, not 1"),
+        ({"k": 2, "sets": [["e1", 2]]}, "InputError: set 0 in 'sets' must be a string or a list of strings, not ['e1', 2]"),
+        ({"k": 2, "sets": [{"e1": 1}]}, "InputError: set 0 in 'sets' must be a string or a list of strings, not {'e1': 1}"),
+    ],
+)
+def test_malformed_family_exit2(files, capsys, family, message):
+    inst = files("c4.json", C4_EDGES)
+    fam = files("fam.json", family)
+    code, report, err = run(capsys, "extend", inst, "--family", fam)
+    assert (code, report, err) == (2, None, message + "\n")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from connsys import (
     truncate_order,
     ultrafilter_number,
 )
+from connsys.construction import _IN, _OUT, _PairSearch
+from connsys.core import enumerate_k_efficient
 from connsys.errors import (
     EmptyIntersection,
     GroundSetTooLargeForEnumeration,
@@ -25,7 +28,12 @@ from connsys.errors import (
 )
 
 from .conftest import all_three_element_systems
-from .oracles import oracle_family_holds, oracle_generate_from_subbase, oracle_greedy_ultrafilter
+from .oracles import (
+    oracle_closure,
+    oracle_family_holds,
+    oracle_generate_from_subbase,
+    oracle_greedy_ultrafilter,
+)
 
 
 def up_closed(sys, seeds, k):
@@ -61,7 +69,7 @@ class TestEnumerate:
         for sys in all_three_element_systems((0, 1)):
             for k in range(sys.max_value + 1):
                 keff = [m for m in range(8) if sys.f(m) <= k]
-                for kind in ("ultrafilter", "tangle"):
+                for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
                     got = [f.members for f in enumerate_families(sys, EnumerationRequest(kind, k))]
                     want = []
                     for bitset in range(1 << 8):
@@ -176,6 +184,51 @@ def test_construct_and_extend_follow_the_greedy_rules():
             assert extend_filter_to_ultrafilter(sys, base).members == want, (sys.spec_payload, k)
 
 
+def test_propagation_reaches_the_least_fixpoint(monkeypatch):
+    """After every propagation the decided sets are exactly the closure of the rules."""
+    real = _PairSearch._propagate
+    checked = Counter()
+
+    def decided(search, value):
+        return {m for m, st in enumerate(search.state) if st == value}
+
+    def checked_propagate(self, queue):
+        seeds_in, seeds_out = sorted(decided(self, _IN)) + queue, sorted(decided(self, _OUT))
+        want = oracle_closure(self.sys.values, self.sys.n, self.k, self.kind, seeds_in, seeds_out)
+        ok = real(self, queue)
+        assert ok == (want is not None), (self.sys.spec_payload, self.k, self.kind, seeds_in, seeds_out)
+        if ok:
+            assert (decided(self, _IN), decided(self, _OUT)) == want, (self.sys.spec_payload, self.k, self.kind)
+        checked[self.kind, ok] += 1
+        return ok
+
+    monkeypatch.setattr(_PairSearch, "_propagate", checked_propagate)
+    rng = random.Random(8)
+    systems = [
+        # ultrafilter propagation conflicts are rare; this system has one at k = 3
+        ConnectivitySystem.from_vertex_cut("abcde", 5, [(2, 3), (0, 2), (0, 3), (0, 1), (1, 4), (1, 2)]),
+        # at k = 0 a tangle member's own pair puts out sets that no other pair does
+        ConnectivitySystem.from_vertex_cut("abcdef", 6, [(1, 5), (0, 2), (0, 3)]),
+    ]
+    for n in [2, 3, 4, 5, 6] * 3:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = rng.sample(pairs, rng.randint(1, len(pairs)))
+        systems.append(ConnectivitySystem.from_vertex_cut([str(i) for i in range(n)], n, edges))
+        nv = rng.choice([v for v in range(3, 7) if v * (v - 1) // 2 >= n])
+        pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+        systems.append(ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], nv, sorted(rng.sample(pairs, n))))
+    for sys in systems:
+        for k in range(sys.max_value + 1):
+            construct_ultrafilter(sys, k)
+            seeds = [m for m in enumerate_k_efficient(sys, k) if m]
+            extend_filter_to_ultrafilter(sys, up_closed(sys, [rng.choice(seeds)], k))
+            for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
+                enumerate_families(sys, EnumerationRequest(kind, k))
+    assert checked["filter", True]
+    for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
+        assert checked[kind, True] and checked[kind, False], (kind, checked)
+
+
 class TestConstruct:
     def test_singleton_system(self, trivial1):
         assert construct_ultrafilter(trivial1, 0).members == frozenset([1])
@@ -192,6 +245,16 @@ class TestConstruct:
             fam, ops = construct_ultrafilter_with_stats(k4_edge, k)
             assert check_family(k4_edge, fam, "ultrafilter").holds
             assert ops <= 64 * 4**k4_edge.n
+
+    def test_work_is_linear_in_the_efficient_sets(self):
+        # the candidate scan costs 2^n; pairing every member with every other costs about 4x this bound
+        rng = random.Random(0)
+        pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(16)], 16, sorted(rng.sample(pairs, 48)))
+        keff = enumerate_k_efficient(sys, 15)
+        fam, ops = construct_ultrafilter_with_stats(sys, 15)
+        assert (len(keff), len(fam.members)) == (1158, 579)
+        assert ops <= 2**16 + 4 * len(keff)
 
     def test_negative_k_rejected(self, trivial1):
         with pytest.raises(InvalidParameter):
