@@ -1,8 +1,10 @@
 """Command-line front end: JSON in, deterministic JSON reports out.
 
 Exit codes: 0 success; 1 a requested check or audit reported a violation,
-counterexample, or inconsistency (a report is still emitted); 2 input or
-size errors (diagnostic on stderr).
+counterexample, or inconsistency, as does validate on a function that is not
+symmetric or not submodular (a report is still emitted); 2 input or size
+errors, which include that function given to any other command (diagnostic
+on stderr).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .construction import (
 )
 from .core import ConnectivitySystem
 from .decomposition import branch_width, decomposition_width, duality_audit, linear_width, ordering_width
-from .errors import ConnSysError, EfficiencyEscape, EmptyIntersection, InputError
+from .errors import ConnSysError, EfficiencyEscape, EmptyIntersection, FunctionViolation, InputError
 from .families import check_family, classify_family
 from .orders import (
     BRUTE_COVER_MAX_FAMILY,
@@ -138,10 +140,19 @@ def _run_validate(args, sys: ConnectivitySystem):
     return result, 0
 
 
+def _invalid_function(exc: FunctionViolation) -> dict:
+    return {
+        "valid": False,
+        "violation": type(exc).__name__,
+        "witnesses": list(exc.subsets),
+        "message": str(exc),
+    }
+
+
 def _run_width(args, sys: ConnectivitySystem):
     if args.eval_certificate:
         with open(args.eval_certificate) as fh:
-            cert = certificate_from_json(sys, json.load(fh))
+            cert = certificate_from_json(sys, json.load(fh), args.mode)
         if args.mode == "branch":
             width = decomposition_width(sys, cert)
         else:
@@ -302,8 +313,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
-        system = load_instance(args.instance)
-        result, code = _HANDLERS[args.verb](args, system)
+        try:
+            system = load_instance(args.instance)
+        except FunctionViolation as exc:
+            if args.verb != "validate":
+                raise
+            result, code = _invalid_function(exc), 1
+        else:
+            result, code = _HANDLERS[args.verb](args, system)
     except ConnSysError as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
         return 2

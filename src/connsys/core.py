@@ -188,10 +188,9 @@ def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:
     if bad.size:
         mask = int(bad[0])
         comp = ground.full_mask ^ mask
+        keys = ground.subset_key(mask), ground.subset_key(comp)
         raise SymmetryViolation(
-            mask,
-            f"f({ground.subset_key(mask)!r}) = {values[mask]} but "
-            f"f({ground.subset_key(comp)!r}) = {values[comp]}",
+            mask, f"f({keys[0]!r}) = {values[mask]} but f({keys[1]!r}) = {values[comp]}", keys
         )
 
 
@@ -200,15 +199,25 @@ def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
 
     f is submodular exactly when no such pair exists (Fujishige, Submodular
     Functions and Optimization), so this proves submodularity in O(n^2 2^n).
+    The values, all in [0, max f], are cast once to the narrowest signed
+    dtype that holds [-max f, max f]. For each bit i the gains
+    f(A+i) - f(A) come from the 3-d view (high bits, bit i, low bits) as a
+    2^(n-1) array indexed by A with bit i removed; for each j > i the pair
+    fails where gain(A+j) > gain(A). Gains are compared, never summed, so
+    nothing overflows. The witness is the first failing (i, j, A) with i,
+    then j, then the mask A increasing.
     """
-    cube = values.reshape((2,) * n)  # axis n-1-i indexes bit i
+    v = values.astype(np.min_scalar_type(-1 - int(values.max())))
     for i in range(n - 1):
-        gain = np.diff(cube, axis=n - 1 - i)  # f(A+i) - f(A)
+        r = v.reshape(-1, 2, 1 << i)
+        gain = (r[:, 1] - r[:, 0]).ravel()  # f(A+i) - f(A); bit j of A is bit j-1 here
         for j in range(i + 1, n):
-            second = np.diff(gain, axis=n - 1 - j)  # f(A+i+j) - f(A+j) - f(A+i) + f(A)
-            if second.max() > 0:
-                pos = np.unravel_index(int(np.argmax(second > 0)), second.shape)
-                a = sum(int(p) << (n - 1 - axis) for axis, p in enumerate(pos))
+            g = gain.reshape(-1, 2, 1 << (j - 1))
+            bad = g[:, 1] > g[:, 0]
+            if bad.any():
+                hi, lo = divmod(int(np.argmax(bad)), 1 << (j - 1))
+                rest = hi << j | lo  # A with bit i removed
+                a = (rest >> i) << (i + 1) | rest & ((1 << i) - 1)
                 return a | 1 << i, a | 1 << j
     return None
 
@@ -231,11 +240,12 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
         if n <= WITNESS_SCAN_MAX_N:
             witness = _lowest_violation(values, n)
         a, b = witness
+        keys = ground.subset_key(a), ground.subset_key(b)
         raise SubmodularityViolation(
             a,
             b,
-            f"f({ground.subset_key(a)!r}) + f({ground.subset_key(b)!r}) = "
-            f"{values[a] + values[b]} < {values[a & b] + values[a | b]}",
+            f"f({keys[0]!r}) + f({keys[1]!r}) = {values[a] + values[b]} < {values[a & b] + values[a | b]}",
+            keys,
         )
     return {"mode": "exhaustive", "pairs": 4**n, "seed": None}
 

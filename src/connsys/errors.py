@@ -17,16 +17,27 @@ class TableIncomplete(InputError):
     pass
 
 
-class SymmetryViolation(ConnSysError):
-    def __init__(self, mask: int, detail: str = ""):
+class FunctionViolation(ConnSysError):
+    """A well-formed function that is not symmetric or not submodular.
+
+    subsets holds the subset keys of the witness, in the order the message names them.
+    """
+
+    subsets: tuple[str, ...]
+
+
+class SymmetryViolation(FunctionViolation):
+    def __init__(self, mask: int, detail: str = "", subsets: tuple[str, ...] = ()):
         self.mask = mask
+        self.subsets = subsets
         super().__init__(f"f is not symmetric at subset mask {mask:#x}" + (f": {detail}" if detail else ""))
 
 
-class SubmodularityViolation(ConnSysError):
-    def __init__(self, a_mask: int, b_mask: int, detail: str = ""):
+class SubmodularityViolation(FunctionViolation):
+    def __init__(self, a_mask: int, b_mask: int, detail: str = "", subsets: tuple[str, ...] = ()):
         self.a_mask = a_mask
         self.b_mask = b_mask
+        self.subsets = subsets
         super().__init__(
             f"f is not submodular on pair ({a_mask:#x}, {b_mask:#x})" + (f": {detail}" if detail else "")
         )

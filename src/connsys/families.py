@@ -526,6 +526,8 @@ def check_family(
     """
     if kind not in _AXIOMS:
         raise InvalidParameter(f"unknown family kind {kind!r}")
+    if fam.k < 0:
+        raise InvalidParameter("the efficiency bound must be non-negative")
     if fam.n != sys.n:
         raise GroundSetMismatch(f"family over {fam.n} elements, system over {sys.n}")
     if kind == "majority_system" and sys.n > gate_limit(MAJORITY_MAX_N):

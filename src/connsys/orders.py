@@ -152,6 +152,8 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     limit = gate_limit(ANTICHAIN_MAX_N)
     if sys.n > limit:
         raise GroundSetTooLargeForEnumeration(f"antichain search is gated to n <= {limit}")
+    if k < 0:
+        raise InvalidParameter("the efficiency bound must be non-negative")
     family = _nonempty_efficient(sys, k)
     if not family:
         return Antichain((), k)

@@ -157,18 +157,33 @@ def branch_from_json(sys: ConnectivitySystem, data: dict) -> BranchDecomposition
     leaves = data.get("leaves", {})
     if parents is None:
         raise InputError("branch certificate needs a 'parents' array")
+    if not isinstance(parents, list):
+        raise InputError(f"'parents' must be a list of node indices or nulls, not {parents!r}")
+    if not isinstance(leaves, dict):
+        raise InputError(f"'leaves' must be an object from leaf nodes to element labels, not {leaves!r}")
     n = sys.n
     edges = []
     for node, parent in enumerate(parents):
         if parent is not None:
+            if type(parent) is not int:
+                raise InputError(f"entry {node} in 'parents' must be a node index or null, not {parent!r}")
             edges.append((min(node, parent), max(node, parent)))
     elements = []
     for i in range(n):
         label = leaves.get(str(i))
         if label is None:
             raise MalformedTree(f"missing leaf label for node {i}")
-        elements.append(sys.ground.index(label))
+        elements.append(_element_index(sys, label, f"leaf '{i}' in 'leaves'"))
     return BranchDecomposition(n, tuple(edges), tuple(elements))
+
+
+def _element_index(sys: ConnectivitySystem, label, where: str) -> int:
+    if not isinstance(label, str):
+        raise InputError(f"{where} must be an element label, not {label!r}")
+    try:
+        return sys.ground.index(label)
+    except KeyError as exc:
+        raise InputError(f"{where}: {exc.args[0]}") from None
 
 
 def linear_to_json(sys: ConnectivitySystem, ordering: LinearOrdering) -> dict:
@@ -179,7 +194,9 @@ def linear_from_json(sys: ConnectivitySystem, data: dict) -> LinearOrdering:
     order = data.get("order")
     if order is None:
         raise InputError("linear certificate needs an 'order' array")
-    return LinearOrdering(tuple(sys.ground.index(label) for label in order))
+    if not isinstance(order, list):
+        raise InputError(f"'order' must be a list of element labels, not {order!r}")
+    return LinearOrdering(tuple(_element_index(sys, lab, f"entry {i} in 'order'") for i, lab in enumerate(order)))
 
 
 def certificate_to_json(sys: ConnectivitySystem, cert) -> dict:
@@ -190,13 +207,13 @@ def certificate_to_json(sys: ConnectivitySystem, cert) -> dict:
     raise TypeError(f"not a certificate: {cert!r}")
 
 
-def certificate_from_json(sys: ConnectivitySystem, data: dict):
-    kind = data.get("type")
-    if kind == "branch":
-        return branch_from_json(sys, data)
-    if kind == "linear":
-        return linear_from_json(sys, data)
-    raise InputError(f"unknown certificate type {kind!r}")
+def certificate_from_json(sys: ConnectivitySystem, data: dict, kind: str):
+    """Parse a certificate whose "type" must be kind, "branch" or "linear"."""
+    if not isinstance(data, dict):
+        raise InputError("certificate JSON must be an object")
+    if data.get("type") != kind:
+        raise InputError(f"certificate 'type' must be {kind!r}, not {data.get('type')!r}")
+    return branch_from_json(sys, data) if kind == "branch" else linear_from_json(sys, data)
 
 
 def width_result_to_json(

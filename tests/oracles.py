@@ -155,6 +155,20 @@ def oracle_submodularity_witness(values, n):
     return None
 
 
+def oracle_first_local_violation(values, n):
+    """The first i < j, then A without i and j, in increasing order, with
+    f(A+i) + f(A+j) < f(A) + f(A+i+j), as the pair (A+i, A+j); or None."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(1 << n):
+                if a >> i & 1 or a >> j & 1:
+                    continue
+                ai, aj = a | 1 << i, a | 1 << j
+                if values[ai] + values[aj] < values[a] + values[ai | aj]:
+                    return (ai, aj)
+    return None
+
+
 def oracle_branch_width(values, n):
     """Exact branch-width by recursive bipartition over subsets."""
     if n == 1:

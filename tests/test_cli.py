@@ -17,10 +17,6 @@ TRIVIAL2 = {
     "ground_set": ["x", "y"],
     "function": {"type": "table", "values": {"": 0, "x": 0, "y": 0, "x,y": 0}},
 }
-BAD_TABLE = {
-    "ground_set": ["a", "b"],
-    "function": {"type": "table", "values": {"": 0, "a": 1, "b": 2, "a,b": 0}},
-}
 
 
 @pytest.fixture
@@ -80,12 +76,31 @@ def test_family_check_violation_exit1(files, capsys):
     assert report["result"]["witnesses"] == [""]
 
 
-def test_validate_bad_table_exit2(files, capsys):
-    inst = files("bad.json", BAD_TABLE)
+@pytest.mark.parametrize(
+    "labels, values, violation, message",
+    [
+        (
+            ["a", "b"],
+            {"": 0, "a": 1, "b": 2, "a,b": 0},
+            "SymmetryViolation",
+            "f is not symmetric at subset mask 0x1: f('a') = 1 but f('b') = 2",
+        ),
+        (
+            ["a", "b", "c"],
+            {"": 0, "a": 2, "b": 2, "c": 5, "a,b": 5, "a,c": 2, "b,c": 2, "a,b,c": 0},
+            "SubmodularityViolation",
+            "f is not submodular on pair (0x1, 0x2): f('a') + f('b') = 4 < 5",
+        ),
+    ],
+)
+def test_validate_invalid_function_reports_exit1(files, capsys, labels, values, violation, message):
+    inst = files("bad.json", {"ground_set": labels, "function": {"type": "table", "values": values}})
     code, report, err = run(capsys, "validate", inst)
-    assert code == 2
-    assert report is None
-    assert "SymmetryViolation" in err
+    assert (code, err) == (1, "")
+    assert report["result"] == {"valid": False, "violation": violation, "witnesses": ["a", "b"], "message": message}
+    # every other command still rejects the instance as input
+    code, report, err = run(capsys, "width", "linear", inst)
+    assert (code, report, err) == (2, None, f"{violation}: {message}\n")
 
 
 def test_validate_conflicting_keys_exit2(files, capsys):
@@ -356,3 +371,38 @@ def test_malformed_family_exit2(files, capsys, family, message):
     fam = files("fam.json", family)
     code, report, err = run(capsys, "extend", inst, "--family", fam)
     assert (code, report, err) == (2, None, message + "\n")
+
+
+def test_negative_k_exit2(files, capsys):
+    inst = files("c4.json", C4_EDGES)
+    fam = files("f.json", {"k": 1, "sets": [["e1", "e2", "e3", "e4"]]})
+    for argv in (["family", "check", "--kind", "filter", "-k", "-1", "--family", fam], ["dilworth", "-k", "-1"]):
+        code, report, err = run(capsys, *argv, inst)
+        assert (code, report, err) == (2, None, "InvalidParameter: the efficiency bound must be non-negative\n")
+
+
+@pytest.mark.parametrize(
+    "mode, cert, message",
+    [
+        ("linear", {"type": "linear", "order": "e1"}, "'order' must be a list of element labels, not 'e1'"),
+        ("branch", {"type": "branch", "parents": 5}, "'parents' must be a list of node indices or nulls, not 5"),
+        ("linear", {"type": "linear", "order": ["e1", "zz", "e3", "e4"]}, "entry 1 in 'order': unknown element label 'zz'"),
+        ("linear", ["e1", "e2", "e3", "e4"], "certificate JSON must be an object"),
+        (
+            "branch",
+            {"type": "branch", "parents": [4, 4, 5, 5, None, 4], "leaves": {"0": 5}},
+            "leaf '0' in 'leaves' must be an element label, not 5",
+        ),
+        (
+            "branch",
+            {"type": "branch", "parents": [4, "4", 5, 5, None, 4], "leaves": {}},
+            "entry 1 in 'parents' must be a node index or null, not '4'",
+        ),
+        ("branch", {"type": "linear", "order": ["e1", "e2", "e3", "e4"]}, "certificate 'type' must be 'branch', not 'linear'"),
+    ],
+)
+def test_malformed_certificate_exit2(files, capsys, mode, cert, message):
+    inst = files("c4.json", C4_EDGES)
+    path = files("cert.json", cert)
+    code, report, err = run(capsys, "width", mode, inst, "--eval-certificate", path)
+    assert (code, report, err) == (2, None, f"InputError: {message}\n")

@@ -1,4 +1,6 @@
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connsys import ConnectivitySystem, enumerate_k_efficient
-from connsys.core import GroundSet, _local_violation, edge_cut_values, popcount, vertex_cut_values
+from connsys.core import (
+    GroundSet,
+    _check_submodularity,
+    _local_violation,
+    edge_cut_values,
+    popcount,
+    vertex_cut_values,
+)
 from connsys.errors import (
     GroundSetTooLarge,
     InputError,
@@ -16,7 +25,12 @@ from connsys.errors import (
     TableIncomplete,
 )
 
-from .oracles import oracle_cut_values, oracle_k_efficient, oracle_submodularity_witness
+from .oracles import (
+    oracle_cut_values,
+    oracle_first_local_violation,
+    oracle_k_efficient,
+    oracle_submodularity_witness,
+)
 
 
 def test_edge_cut_single_edge_boundary(c4_edge):
@@ -279,6 +293,46 @@ def test_local_check_decides_like_the_pair_scan(n, data):
         with pytest.raises(SubmodularityViolation) as exc:
             ConnectivitySystem.from_table(labels, dict(enumerate(values)))
         assert (exc.value.a_mask, exc.value.b_mask) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([0, 127, 128, 2**15 - 1, 2**15, 2**31, 2**62 - 1]), st.data())
+def test_local_check_returns_the_first_local_violation(n, top, data):
+    # max f = top crosses every boundary of the signed dtype the gains are compared in
+    full = (1 << n) - 1
+    weights = {(u, v): data.draw(st.integers(0, 2)) for u in range(n) for v in range(u + 1, n)}
+    cut = [
+        sum(w for (u, v), w in weights.items() if (mask >> u & 1) != (mask >> v & 1))
+        for mask in range(1 << n)
+    ]
+    # scale * cut + rest on the proper subsets is still symmetric and submodular
+    scale = top // max(max(cut), 1)
+    rest = top - scale * max(cut)
+    values = [0] + [scale * c + rest for c in cut[1:-1]] + [0]
+    top_set = values.index(top)
+    unit = data.draw(st.sampled_from([1, max(scale, 1)]))
+    reps = list(range(1, 1 << (n - 1)))
+    for rep, delta in data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, 2)), max_size=3)):
+        values[rep] = values[full ^ rep] = min(top, max(0, values[rep] + delta * unit))
+    values[top_set] = values[full ^ top_set] = top
+    assert _local_violation(np.array(values, dtype=np.int64), n) == oracle_first_local_violation(values, n)
+
+
+def test_submodularity_proof_keeps_no_wide_temporaries():
+    # 2^16 values as int64 take 8 bytes each; the proof's temporaries must stay in a
+    # narrow dtype for a function with max f below 128
+    rng = random.Random(16)
+    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    values = vertex_cut_values(16, rng.sample(pairs, 48))
+    assert values.max() < 128
+    ground = GroundSet(tuple(f"v{i}" for i in range(16)))
+    tracemalloc.start()
+    try:
+        _check_submodularity(ground, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**16
 
 
 def test_edge_cut_of_any_graph_validates(k4_edge):
