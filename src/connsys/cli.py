@@ -4,12 +4,14 @@ Exit codes: 0 success; 1 a requested check or audit reported a violation,
 counterexample, or inconsistency, as does validate on a function that is not
 symmetric or not submodular (a report is still emitted); 2 input or size
 errors, which include that function given to any other command (diagnostic
-on stderr).
+on stderr). An audit whose size gate stops one k still reports every other
+k, puts the gate's message in that k's entry, and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 import time
@@ -25,7 +27,14 @@ from .construction import (
 )
 from .core import ConnectivitySystem
 from .decomposition import branch_width, decomposition_width, duality_audit, linear_width, ordering_width
-from .errors import ConnSysError, EfficiencyEscape, EmptyIntersection, FunctionViolation, InputError
+from .errors import (
+    ConnSysError,
+    EfficiencyEscape,
+    EmptyIntersection,
+    FunctionViolation,
+    InputError,
+    SizeGateExceeded,
+)
 from .families import check_family, classify_family
 from .orders import (
     BRUTE_COVER_MAX_FAMILY,
@@ -56,7 +65,9 @@ from .serialization import (
 BRUTE_COVER_LIMIT = 15
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main() call."""
     p = argparse.ArgumentParser(prog="connsys", description=__doc__)
     p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
     sub = p.add_subparsers(dest="verb", required=True)
@@ -134,7 +145,6 @@ def _run_validate(args, sys: ConnectivitySystem):
         "validation": {
             "mode": sys.validation.get("mode"),
             "pairs": sys.validation.get("pairs"),
-            "seed": sys.validation.get("seed"),
         },
     }
     return result, 0
@@ -268,30 +278,43 @@ def _parse_k_range(text: str) -> list[int]:
 def _run_audit(args, sys: ConnectivitySystem):
     ks = [args.k] if args.k is not None else _parse_k_range(args.k_range)
     selection = args.theorems
-    failed = False
+    failed = gated = False
     per_k = []
     for k in ks:
-        entry: dict = {"k": k}
-        if selection in ("all", "chains", "families"):
-            if selection == "chains":
-                ids = CHAIN_THEOREMS
-            elif selection == "families":
-                ids = FAMILY_THEOREMS
-            else:
-                ids = THEOREM_IDS
-            reports = run_theorem_audit(sys, k, ids)
-            entry["theorems"] = [audit_report_to_json(sys, r) for r in reports]
-            failed |= any(r.status == "counterexample_found" for r in reports)
-        if selection in ("all", "duality"):
-            verdicts = [duality_audit(sys, k, kind) for kind in ("ultrafilter", "tangle", "single_ultrafilter")]
-            entry["duality"] = [duality_to_json(sys, v) for v in verdicts]
-            failed |= any(not v.consistent for v in verdicts)
-        if selection in ("all", "dilworth"):
-            payload, ok = _dilworth_payload(sys, k, brute_gate=BRUTE_COVER_MAX_FAMILY)
-            entry["dilworth"] = payload
-            failed |= not ok
+        try:
+            entry, found = _audit_at(sys, k, selection)
+            failed |= found
+        except SizeGateExceeded as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            print(f"k={k}: {message}", file=_sys.stderr)
+            entry, gated = {"k": k, "gated": message}, True
         per_k.append(entry)
-    return {"theorems_selection": selection, "audits": per_k}, 1 if failed else 0
+    return {"theorems_selection": selection, "audits": per_k}, 2 if gated else 1 if failed else 0
+
+
+def _audit_at(sys: ConnectivitySystem, k: int, selection: str) -> tuple[dict, bool]:
+    """One k's audit entry, and whether any of its audits found a counterexample."""
+    entry: dict = {"k": k}
+    failed = False
+    if selection in ("all", "chains", "families"):
+        if selection == "chains":
+            ids = CHAIN_THEOREMS
+        elif selection == "families":
+            ids = FAMILY_THEOREMS
+        else:
+            ids = THEOREM_IDS
+        reports = run_theorem_audit(sys, k, ids)
+        entry["theorems"] = [audit_report_to_json(sys, r) for r in reports]
+        failed |= any(r.status == "counterexample_found" for r in reports)
+    if selection in ("all", "duality"):
+        verdicts = [duality_audit(sys, k, kind) for kind in ("ultrafilter", "tangle", "single_ultrafilter")]
+        entry["duality"] = [duality_to_json(sys, v) for v in verdicts]
+        failed |= any(not v.consistent for v in verdicts)
+    if selection in ("all", "dilworth"):
+        payload, ok = _dilworth_payload(sys, k, brute_gate=BRUTE_COVER_MAX_FAMILY)
+        entry["dilworth"] = payload
+        failed |= not ok
+    return entry, failed
 
 
 _HANDLERS = {

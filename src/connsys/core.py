@@ -247,16 +247,19 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
             f"f({keys[0]!r}) + f({keys[1]!r}) = {values[a] + values[b]} < {values[a & b] + values[a | b]}",
             keys,
         )
-    return {"mode": "exhaustive", "pairs": 4**n, "seed": None}
+    return {"mode": "exhaustive", "pairs": 4**n}
 
 
 @dataclass(frozen=True)
 class ConnectivitySystem:
     """A ground set with a total, validated symmetric submodular function.
 
-    Immutable after construction; safe for concurrent reads. ``values`` and
-    ``array`` hold the same function; ``array`` is derived from it and takes
-    no part in equality or hashing.
+    Immutable after construction. ``values`` and ``array`` hold the same
+    function; ``array`` is derived from it and takes no part in equality or
+    hashing. ``widths`` memoises the verified width results by mode
+    (``"branch"``, ``"linear"``), which depend on the function alone; it
+    takes no part in equality or hashing either. Concurrent readers may each
+    compute a width once, and store equal results.
     """
 
     ground: GroundSet
@@ -265,6 +268,7 @@ class ConnectivitySystem:
     array: np.ndarray = field(compare=False, repr=False)
     spec_payload: dict = field(default_factory=dict, compare=False)
     validation: dict = field(default_factory=dict, compare=False)
+    widths: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -152,6 +152,21 @@ def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
     return best
 
 
+def _memoised_width(sys: ConnectivitySystem, mode: str, search) -> WidthResult:
+    """Check the size gate, then run the verified search at most once per system.
+
+    The result depends on the function alone, so it is kept on the system
+    and every later call (duality audits at each k and kind, the
+    TSC-decomposition audit, the width command) returns it.
+    """
+    limit = gate_limit(WIDTH_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForExhaustiveSearch(f"{mode}-width search is gated to n <= {limit}")
+    if mode not in sys.widths:
+        sys.widths[mode] = search(sys)
+    return sys.widths[mode]
+
+
 def branch_width(sys: ConnectivitySystem) -> WidthResult:
     """Exact branch-width with a certificate, by a bottom-up subset DP.
 
@@ -160,12 +175,13 @@ def branch_width(sys: ConnectivitySystem) -> WidthResult:
     edge above S and every edge below it: f(S) for a singleton, else the larger of f(S) and the
     minimum over splits S = B + C of max(h(B), h(C)), where B holds the lowest
     element of S (Robertson & Seymour, Graph Minors X). The width is
-    h(X - x).
+    h(X - x). Computed once per system.
     """
+    return _memoised_width(sys, "branch", _branch_width_dp)
+
+
+def _branch_width_dp(sys: ConnectivitySystem) -> WidthResult:
     n = sys.n
-    limit = gate_limit(WIDTH_MAX_N)
-    if n > limit:
-        raise GroundSetTooLargeForExhaustiveSearch(f"branch-width search is gated to n <= {limit}")
     if n == 1:
         return WidthResult(0, BranchDecomposition(1, (), (0,)))
     if n == 2:
@@ -224,12 +240,14 @@ def linear_width(sys: ConnectivitySystem) -> WidthResult:
     A subset DP from the full set downward: h(P) is the least possible maximum
     of f over P and the proper prefixes after it, in O(n * 2^n). The width is
     the larger of h(empty) and the largest singleton value; the ordering takes,
-    at each step, the smallest element that keeps within the width.
+    at each step, the smallest element that keeps within the width. Computed
+    once per system.
     """
+    return _memoised_width(sys, "linear", _linear_width_dp)
+
+
+def _linear_width_dp(sys: ConnectivitySystem) -> WidthResult:
     n = sys.n
-    limit = gate_limit(WIDTH_MAX_N)
-    if n > limit:
-        raise GroundSetTooLargeForExhaustiveSearch(f"linear-width search is gated to n <= {limit}")
     f = sys.values
     full = sys.full_mask
     h = [0] * (full + 1)  # h(X) = 0: the full set is no proper prefix

@@ -61,11 +61,15 @@ class BoundIncrease(ConnSysError):
     pass
 
 
-class GroundSetTooLargeForEnumeration(ConnSysError):
+class SizeGateExceeded(ConnSysError):
+    """An exhaustive search refused an instance above its size gate; the message names the limit."""
+
+
+class GroundSetTooLargeForEnumeration(SizeGateExceeded):
     pass
 
 
-class GroundSetTooLargeForExhaustiveSearch(ConnSysError):
+class GroundSetTooLargeForExhaustiveSearch(SizeGateExceeded):
     pass
 
 

@@ -406,3 +406,77 @@ def test_malformed_certificate_exit2(files, capsys, mode, cert, message):
     path = files("cert.json", cert)
     code, report, err = run(capsys, "width", mode, inst, "--eval-certificate", path)
     assert (code, report, err) == (2, None, f"InputError: {message}\n")
+
+
+def path_vertex_cut(n):
+    return {
+        "ground_set": [chr(ord("a") + i) for i in range(n)],
+        "function": {"type": "graph_vertex_cut", "vertices": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+    }
+
+
+ANTICHAIN_GATE = "GroundSetTooLargeForEnumeration: antichain audit is gated to n <= 5"
+CO_TANGLE_GATE = "GroundSetTooLargeForEnumeration: filter brute force is gated to at most 16 efficient sets"
+
+
+@pytest.mark.parametrize(
+    "n, theorems, k_range, gated",
+    [
+        (6, "all", "0..2", {0: ANTICHAIN_GATE, 1: ANTICHAIN_GATE, 2: ANTICHAIN_GATE}),
+        (6, "families", "0..2", {2: CO_TANGLE_GATE}),
+        (5, "all", "0..4", {2: CO_TANGLE_GATE, 3: CO_TANGLE_GATE, 4: CO_TANGLE_GATE}),
+    ],
+)
+def test_audit_k_range_reports_past_a_gated_k(files, capsys, n, theorems, k_range, gated):
+    inst = files(f"p{n}.json", path_vertex_cut(n))
+    code, report, err = run(capsys, "audit", inst, "--theorems", theorems, "--k-range", k_range)
+    assert code == 2
+    lo, hi = map(int, k_range.split(".."))
+    audits = report["result"]["audits"]
+    assert [entry["k"] for entry in audits] == list(range(lo, hi + 1))
+    assert err == "".join(f"k={k}: {message}\n" for k, message in gated.items())
+    for entry in audits:
+        k = entry["k"]
+        if k in gated:
+            assert entry == {"k": k, "gated": gated[k]}
+            continue
+        # every k the gate spares is reported exactly as a run at that k alone reports it
+        code_k, report_k, err_k = run(capsys, "audit", inst, "--theorems", theorems, "-k", str(k))
+        assert code_k in (0, 1) and err_k == ""
+        assert report_k["result"]["audits"] == [entry]
+
+
+def test_audit_runs_each_width_dp_once(files, capsys, monkeypatch):
+    from connsys import decomposition
+
+    calls = {"branch": 0, "linear": 0}
+    for mode in calls:
+        dp = getattr(decomposition, f"_{mode}_width_dp")
+
+        def counted(sys, mode=mode, dp=dp):
+            calls[mode] += 1
+            return dp(sys)
+
+        monkeypatch.setattr(decomposition, f"_{mode}_width_dp", counted)
+    inst = files("c4.json", C4_EDGES)
+    max_f = load_instance(inst).max_value
+    code, report, err = run(capsys, "audit", inst, "--theorems", "all", "--k-range", f"0..{max_f}")
+    assert code in (0, 1) and err == ""
+    assert len(report["result"]["audits"]) == max_f + 1
+    assert all("gated" not in entry for entry in report["result"]["audits"])
+    assert calls == {"branch": 1, "linear": 1}
+
+
+def test_main_reuses_its_parser_across_calls(files, capsys):
+    from connsys import cli
+
+    assert cli._parser() is cli._parser()
+    inst = files("c4.json", C4_EDGES)
+    argv = ["audit", inst, "--theorems", "all", "--k-range", "0..2"]
+    first = main(argv), capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", inst, "--theorems", "all"])  # needs -k or --k-range
+    assert exc.value.code == 2
+    capsys.readouterr()
+    second = main(argv), capsys.readouterr()
+    assert first[0] == second[0] and first[1].out == second[1].out and first[1].out

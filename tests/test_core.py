@@ -216,7 +216,7 @@ def test_validation_exhaustive_above_scan_cutoff():
     # a 13-element path graph is past the lowest-witness scan cutoff
     edges = [(i, i + 1) for i in range(12)]
     sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(13)], 13, edges)
-    assert sys.validation == {"mode": "exhaustive", "pairs": 4**13, "seed": None}
+    assert sys.validation == {"mode": "exhaustive", "pairs": 4**13}
 
 
 def test_single_broken_local_pair_rejected_at_n13():

@@ -152,6 +152,23 @@ class TestBranchWidth:
         with pytest.raises(GroundSetTooLargeForExhaustiveSearch):
             branch_width(sys)
 
+    @pytest.mark.parametrize("width", [branch_width, linear_width])
+    def test_memoised_result_keeps_the_gate(self, monkeypatch, width):
+        from connsys import decomposition
+
+        monkeypatch.setattr(decomposition, "WIDTH_MAX_N", 4)  # a gate below this 5-element path
+        monkeypatch.setenv("CONNSYS_MAX_N", "5")
+        edges = [(i, i + 1) for i in range(4)]
+        sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(5)], 5, edges)
+        first = width(sys)
+        assert width(sys) is first and first.width == 2
+        # the memo takes no part in equality or hashing
+        twin = ConnectivitySystem.from_vertex_cut([str(i) for i in range(5)], 5, edges)
+        assert twin == sys and hash(twin) == hash(sys)
+        monkeypatch.delenv("CONNSYS_MAX_N")
+        with pytest.raises(GroundSetTooLargeForExhaustiveSearch, match="gated to n <= 4$"):
+            width(sys)
+
 
 class TestLinearWidth:
     def test_c4(self, c4_edge):

@@ -11,6 +11,7 @@ from connsys import (
     chain_extend_single,
     check_family,
     enumerate_families,
+    enumerate_k_efficient,
     find_max_antichain,
     find_sequence_chain,
     make_antichain,
@@ -285,3 +286,31 @@ class TestClosedFormAudits:
     def test_negative_bound_rejected(self, c4_edge, theorem):
         with pytest.raises(InvalidParameter, match="^the efficiency bound must be non-negative$"):
             run_theorem_audit(c4_edge, -1, [theorem])
+
+
+def test_co_tangle_audit_matches_its_closed_form():
+    """The co-tangle brute force reports what the efficient sets alone decide.
+
+    Every filter holds X (Q2), so the first filter the brute force reaches is
+    {X}, whose complement {empty} is a tangle iff n >= 2 and only the empty
+    set and X are efficient; else it fails T2 when other efficient complement
+    pairs exist, and T4 otherwise. Levels above 16 efficient sets are gated,
+    and k above max f adds no efficient set.
+    """
+    systems = random_cut_systems(80624, 12, 5)
+    assert {sys.n for sys in systems} == {1, 2, 3, 4, 5}
+    levels = 0
+    for sys in systems:
+        for k in range(sys.max_value + 1):
+            keff = enumerate_k_efficient(sys, k)
+            if len(keff) > 16:
+                continue
+            levels += 1
+            report = run_theorem_audit(sys, k, ["co-tangle-filter"])[0]
+            x = sys.full_mask
+            if sys.n >= 2 and keff == [0, x]:
+                assert (report.status, report.witness) == ("verified_at_scale", ())
+            else:
+                axiom = "T2" if len(keff) > 2 else "T4"
+                assert (report.status, report.witness) == ("counterexample_found", ((x,), axiom))
+    assert levels == 24

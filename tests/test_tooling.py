@@ -1,7 +1,9 @@
-"""Checks on the test suite's own structure."""
+"""Checks on the test suite's own structure and on the names the benchmark relies on."""
 
 import ast
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_oracles_do_not_import_the_library():
@@ -14,3 +16,25 @@ def test_oracles_do_not_import_the_library():
             imported.add("." * node.level + (node.module or ""))
     offending = {name for name in imported if name.split(".")[0] == "connsys" or name.startswith(".")}
     assert not offending, f"tests/oracles.py imports {sorted(offending)}"
+
+
+def test_cli_keeps_the_names_the_benchmark_wraps():
+    """perfbench's traced run routes these module-level names of connsys.cli through spans."""
+    from connsys import cli
+
+    tree = ast.parse((ROOT / "perfbench" / "jobs.py").read_text())
+    wrapped = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_CALLS"]
+    )
+    names = set(wrapped) | {
+        "load_instance",
+        "run_theorem_audit",
+        "duality_audit",
+        "find_max_antichain",
+        "min_chain_cover",
+        "brute_force_min_cover_size",
+    }
+    missing = sorted(name for name in names if not callable(getattr(cli, name, None)))
+    assert not missing, f"connsys.cli lacks {missing}"
