@@ -90,7 +90,7 @@ class _PairSearch:
         self.kind = kind
         self.full = sys.full_mask
         self.keff = enumerate_k_efficient(sys, k)
-        self.eff_singletons = [1 << i for i in range(sys.n) if sys.values[1 << i] <= k]
+        self.eff_singletons = [1 << i for i in range(sys.n) if sys.f(1 << i) <= k]
         self.state = [_NEVER] * (1 << sys.n)
         for m in self.keff:
             self.state[m] = _UNKNOWN
@@ -329,14 +329,14 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     values = _intersection_values(subbase.sorted_members())
     if 0 in values:
         raise EmptyIntersection(values[0])
-    k = subbase.k
-    cores = frozenset(v for v in values if sys.values[v] <= k)
+    k, f = subbase.k, sys.values
+    cores = frozenset(v for v in values if f[v] <= k)
     generated = _up_closure(sys, SetFamily(cores, k, sys.n))
     ordered = generated.sorted_members()
     for i, a in enumerate(ordered):
         for b in ordered[i:]:
             u = a & b
-            if sys.values[u] <= k and u not in generated.members:
+            if f[u] <= k and u not in generated.members:
                 raise EfficiencyEscape(a, b, u)
     return generated
 

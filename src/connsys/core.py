@@ -1,12 +1,13 @@
 """Ground sets, subsets as bitmasks, and validated symmetric submodular functions.
 
 Subsets are plain ints: bit i set means element i of the ground set is in.
-Function values are built and validated as one numpy array, with whole-array
-operations in place of loops over the masks, and memoized at construction
-time in two forms, both indexed by mask: a tuple of 2^n Python ints for the
-scalar lookups of the searches, and the validated array, read-only and in
-the narrowest unsigned dtype that holds max f, for scans over all subsets
-such as the k-efficient index.
+Function values are built and validated as one numpy array indexed by mask,
+with whole-array operations in place of loops over the masks. A system
+stores one form of f: the validated array, read-only and in the narrowest
+unsigned dtype that holds max f, which scans over all subsets (such as the
+k-efficient index) and single lookups read. The loops that look up many
+entries one at a time read ``values``, a tuple of 2^n Python ints derived
+from the array on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import os
 import sys as _sys
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -113,13 +115,17 @@ class GroundSet:
 
 
 def edge_cut_values(labels_count: int, vertices: int, edges: list[tuple[int, int]]) -> np.ndarray:
-    """Boundary-vertex function on edge subsets: vertices incident to both sides."""
+    """Boundary-vertex function on edge subsets: vertices incident to both sides.
+
+    Values come in the narrowest unsigned dtype that holds their bound,
+    min(vertices, 2 |E|).
+    """
     incident = [0] * vertices  # incident[v] = mask of edges touching v
     for i, (u, v) in enumerate(edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
-    idx = np.arange(1 << labels_count, dtype=np.int64)
-    values = np.zeros_like(idx)
+    idx = np.arange(1 << labels_count, dtype=np.uint32)
+    values = np.zeros(1 << labels_count, dtype=np.min_scalar_type(min(vertices, 2 * len(edges))))
     for inc in incident:
         inside = idx & inc  # edges at this vertex inside the subset; the rest are outside
         values += (inside != 0) & (inside != inc)
@@ -127,17 +133,22 @@ def edge_cut_values(labels_count: int, vertices: int, edges: list[tuple[int, int
 
 
 def vertex_cut_values(vertices: int, edges: list[tuple[int, int]]) -> np.ndarray:
-    """Cut function on vertex subsets: edges crossing the bipartition."""
+    """Cut function on vertex subsets: edges crossing the bipartition.
+
+    Values come in the narrowest unsigned dtype that holds 2 |E|, the bound
+    of the running sums below.
+    """
     neighbours = [0] * vertices
     for u, v in edges:
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
-    idx = np.arange(1 << vertices, dtype=np.int64)
-    values = np.zeros_like(idx)
+    idx = np.arange(1 << vertices, dtype=np.uint32)
+    values = np.zeros(1 << vertices, dtype=np.min_scalar_type(2 * len(edges)))
     # masks with highest bit v, by cut(S + v) = cut(S) + deg(v) - 2 |N(v) & S| for S below bit v
     for v, nb in enumerate(neighbours):
-        crossing = np.bitwise_count(idx[: 1 << v] & nb).astype(np.int64)
-        values[1 << v : 2 << v] = values[: 1 << v] + nb.bit_count() - 2 * crossing
+        high = values[1 << v : 2 << v]
+        np.add(values[: 1 << v], nb.bit_count(), out=high)
+        high -= 2 * np.bitwise_count(idx[: 1 << v] & nb)
     return values
 
 
@@ -194,6 +205,40 @@ def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:
         )
 
 
+# A pass whose inner runs hold at least 2^5 = 32 values runs at numpy's full speed.
+_RUN_BITS = 5
+
+
+@functools.lru_cache(maxsize=None)
+def _layout_plan(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each rotation r, the local pairs (i, j), i < j, proved in its layout, in increasing order.
+
+    The layout of rotation r is the value array with mask bit b moved to bit
+    (b - r) mod n. Each pair goes to the first of the rotations 0, n // 3 and
+    2n // 3 that moves both of its bits to _RUN_BITS or above. From
+    n = 3 * _RUN_BITS on, the three windows of bits moved below that are
+    disjoint, so every pair has such a rotation; below it, only the identity
+    layout exists.
+    """
+    rotations = (0, n // 3, 2 * n // 3) if n >= 3 * _RUN_BITS else (0,)
+    plan = {r: [] for r in rotations}
+    for i, j in combinations(range(n), 2):
+        plan[next((r for r in rotations if min((i - r) % n, (j - r) % n) >= _RUN_BITS), 0)].append((i, j))
+    return tuple((r, tuple(pairs)) for r, pairs in plan.items())
+
+
+def _gains(layout: np.ndarray, p: int) -> np.ndarray:
+    """f(A+p) - f(A) for every A without bit p, indexed by A with bit p removed."""
+    cube = layout.reshape(-1, 2, 1 << p)  # axis 1 is bit p
+    return (cube[:, 1] - cube[:, 0]).ravel()
+
+
+def _rises(gain: np.ndarray, q: int) -> np.ndarray:
+    """gain(A+q) > gain(A) for every A without bit q of the gain index, indexed by A with it removed."""
+    g = gain.reshape(-1, 2, 1 << q)
+    return g[:, 1] > g[:, 0]
+
+
 def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
     """A pair (A+i, A+j) with f(A+i) + f(A+j) < f(A) + f(A+i+j), or None if there is none.
 
@@ -204,22 +249,35 @@ def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
     f(A+i) - f(A) come from the 3-d view (high bits, bit i, low bits) as a
     2^(n-1) array indexed by A with bit i removed; for each j > i the pair
     fails where gain(A+j) > gain(A). Gains are compared, never summed, so
-    nothing overflows. The witness is the first failing (i, j, A) with i,
-    then j, then the mask A increasing.
+    nothing overflows. Each pair is proved in the layout that _layout_plan
+    gives it, where both of its bits are high, so that the passes run over
+    long contiguous runs. The layouts are made one at a time, each by one
+    transposed copy. Once a failing pair is known, only the pairs before it
+    are proved. The witness is the first failing (i, j, A) with i, then j,
+    then the mask A increasing, found again in the identity layout.
     """
     v = values.astype(np.min_scalar_type(-1 - int(values.max())))
-    for i in range(n - 1):
-        r = v.reshape(-1, 2, 1 << i)
-        gain = (r[:, 1] - r[:, 0]).ravel()  # f(A+i) - f(A); bit j of A is bit j-1 here
-        for j in range(i + 1, n):
-            g = gain.reshape(-1, 2, 1 << (j - 1))
-            bad = g[:, 1] > g[:, 0]
-            if bad.any():
-                hi, lo = divmod(int(np.argmax(bad)), 1 << (j - 1))
-                rest = hi << j | lo  # A with bit i removed
-                a = (rest >> i) << (i + 1) | rest & ((1 << i) - 1)
-                return a | 1 << i, a | 1 << j
-    return None
+    first = None  # the least failing pair found so far
+    for r, pairs in _layout_plan(n):
+        layout = v if r == 0 else v.reshape(-1, 1 << r).T.ravel()  # bits r.. become the low bits
+        gain_bit = None
+        for i, j in pairs:
+            if first is not None and (i, j) >= first:
+                break
+            p, q = (i - r) % n, (j - r) % n
+            if gain_bit != i:
+                gain, gain_bit = _gains(layout, p), i
+            if _rises(gain, q - (q > p)).any():  # bit q is one lower once bit p is removed
+                first = i, j
+                break
+        layout = gain = None  # so that at most one rotated copy is alive
+    if first is None:
+        return None
+    i, j = first
+    hi, lo = divmod(int(np.argmax(_rises(_gains(v, i), j - 1))), 1 << (j - 1))
+    rest = hi << j | lo  # A with bit i removed
+    a = (rest >> i) << (i + 1) | rest & ((1 << i) - 1)
+    return a | 1 << i, a | 1 << j
 
 
 def _lowest_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
@@ -250,25 +308,62 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
     return {"mode": "exhaustive", "pairs": 4**n}
 
 
-@dataclass(frozen=True)
+class _stored_on_first_use:
+    """Like functools.cached_property, but stores the value with object.__setattr__.
+
+    cached_property writes to the instance ``__dict__``, which on CPython
+    moves every attribute of the instance off the fast lookup path; a plain
+    attribute store keeps them on it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.fn.__name__, value)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
 class ConnectivitySystem:
     """A ground set with a total, validated symmetric submodular function.
 
-    Immutable after construction. ``values`` and ``array`` hold the same
-    function; ``array`` is derived from it and takes no part in equality or
-    hashing. ``widths`` memoises the verified width results by mode
-    (``"branch"``, ``"linear"``), which depend on the function alone; it
-    takes no part in equality or hashing either. Concurrent readers may each
-    compute a width once, and store equal results.
+    Immutable after construction. It stores f in one form: ``array``, the
+    validated values indexed by mask, read-only and in the narrowest unsigned
+    dtype that holds max f. ``f(mask)`` reads one value from it. ``values``
+    is the same function as a tuple of Python ints, built on first access and
+    cached, for loops that look up many entries one at a time. Equality and
+    hashing use the ground set, ``spec_kind`` and the array's bytes.
+    ``widths`` memoises the verified width results by mode (``"branch"``,
+    ``"linear"``), which depend on the function alone; it takes no part in
+    equality or hashing. Concurrent readers may each compute the tuple or a
+    width once, and store equal results.
     """
 
     ground: GroundSet
-    values: tuple[int, ...]
     spec_kind: str
-    array: np.ndarray = field(compare=False, repr=False)
-    spec_payload: dict = field(default_factory=dict, compare=False)
-    validation: dict = field(default_factory=dict, compare=False)
-    widths: dict = field(default_factory=dict, compare=False, repr=False)
+    array: np.ndarray = field(repr=False)
+    spec_payload: dict = field(default_factory=dict)
+    validation: dict = field(default_factory=dict)
+    widths: dict = field(default_factory=dict, repr=False)
+
+    def _key(self) -> tuple:
+        return self.ground, self.spec_kind, self.array.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConnectivitySystem):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @_stored_on_first_use
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def n(self) -> int:
@@ -279,7 +374,7 @@ class ConnectivitySystem:
         return self.ground.full_mask
 
     def f(self, mask: int) -> int:
-        return self.values[mask]
+        return self.array.item(mask)
 
     @property
     def max_value(self) -> int:
@@ -294,9 +389,10 @@ class ConnectivitySystem:
             raise NormalizationViolation(f"f(X) = {values[ground.full_mask]} but must be 0")
         _check_symmetry(ground, values)
         info = _check_submodularity(ground, values)
-        array = values.astype(np.min_scalar_type(int(values.max())))
+        dtype = np.min_scalar_type(int(values.max()))
+        array = values if values.dtype == dtype else values.astype(dtype)
         array.flags.writeable = False
-        return cls(ground, tuple(values.tolist()), spec_kind, array, spec_payload(), info)
+        return cls(ground, spec_kind, array, spec_payload(), info)
 
     @classmethod
     def from_table(cls, labels, table: dict) -> "ConnectivitySystem":
@@ -307,6 +403,8 @@ class ConnectivitySystem:
             by_mask = {}
             for key, val in table.items():
                 mask = key if isinstance(key, int) else ground.mask_of(key)
+                if type(val) is not int:  # before the comparison below, where nan != nan
+                    _reject_first_bad_entry(ground, {**by_mask, mask: val})
                 if by_mask.setdefault(mask, val) != val:
                     raise TableIncomplete(f"conflicting values for subset {ground.subset_key(mask)!r}")
         values = complete_table(ground, by_mask)

@@ -169,6 +169,7 @@ class _Ctx:
         self.arrays = None
         if len(fam.members) >= ARRAY_MIN_MEMBERS:
             self.arrays = _Arrays(sys.array <= fam.k, self.sorted, sys.n)
+        self.values = None  # sys.values, fetched by the first eff() call: families decided on arrays never build it
 
     @cached_property
     def keff(self) -> list[int]:
@@ -176,7 +177,9 @@ class _Ctx:
         return enumerate_k_efficient(self.sys, self.k)
 
     def eff(self, mask: int) -> bool:
-        return self.sys.values[mask] <= self.k
+        if self.values is None:
+            self.values = self.sys.values
+        return self.values[mask] <= self.k
 
 
 def _ax_nonempty(c: _Ctx):
@@ -556,7 +559,7 @@ def classify_family(sys: ConnectivitySystem, fam: SetFamily) -> FamilyFlags:
     """Principality and uniformity flags for a family over sys."""
     if fam.n != sys.n:
         raise GroundSetMismatch(f"family over {fam.n} elements, system over {sys.n}")
-    eff_singletons = [1 << i for i in range(sys.n) if sys.values[1 << i] <= fam.k]
+    eff_singletons = [1 << i for i in range(sys.n) if sys.f(1 << i) <= fam.k]
     if not eff_singletons:
         principal = "vacuous"
     elif all(s in fam.members for s in eff_singletons):
@@ -600,5 +603,5 @@ def truncate_order(sys: ConnectivitySystem, fam: SetFamily, k_new: int) -> SetFa
     """Restrict a family to the members efficient at a smaller bound."""
     if k_new > fam.k:
         raise BoundIncrease(f"new bound {k_new} exceeds current bound {fam.k}")
-    members = frozenset(m for m in fam.members if sys.values[m] <= k_new)
+    members = frozenset(m for m in fam.members if sys.f(m) <= k_new)
     return SetFamily(members, k_new, fam.n)

@@ -76,8 +76,8 @@ def make_chain(sys: ConnectivitySystem, sets, k: int) -> Chain:
         if prev & ~cur:
             raise ChainOrderBroken(f"{prev:#x} is not contained in {cur:#x}")
     for mask in sets:
-        if sys.values[mask] > k:
-            raise EfficiencyViolation(mask, sys.values[mask], k)
+        if sys.f(mask) > k:
+            raise EfficiencyViolation(mask, sys.f(mask), k)
     return Chain(sets, k)
 
 
@@ -88,8 +88,8 @@ def make_antichain(sys: ConnectivitySystem, sets, k: int) -> Antichain:
             if a & ~b == 0 or b & ~a == 0:
                 raise ChainOrderBroken(f"{a:#x} and {b:#x} are comparable")
     for mask in sets:
-        if sys.values[mask] > k:
-            raise EfficiencyViolation(mask, sys.values[mask], k)
+        if sys.f(mask) > k:
+            raise EfficiencyViolation(mask, sys.f(mask), k)
     return Antichain(sets, k)
 
 
@@ -130,7 +130,7 @@ def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[
         raise GroundSetTooLargeForEnumeration("chain cover is gated to families of at most 64 sets")
     family = sorted(set(family))
     for mask in family:
-        if sys.values[mask] > k:
+        if sys.f(mask) > k:
             raise NotKEfficient(mask)
     succ_of = _max_matching(family)
     has_pred = set(succ_of.values())
@@ -184,7 +184,7 @@ def brute_force_min_cover_size(sys: ConnectivitySystem, family: list[int], k: in
     """Minimum chain-cover size by direct search; the second, independent route."""
     family = sorted(set(family), key=lambda m: (popcount(m), m))
     for mask in family:
-        if sys.values[mask] > k:
+        if sys.f(mask) > k:
             raise NotKEfficient(mask)
     n = len(family)
     if n == 0:
@@ -230,7 +230,7 @@ def find_sequence_chain(sys: ConnectivitySystem, k: int) -> Chain | None:
     set by its absent elements in ascending order.
     """
     full = sys.full_mask
-    if sys.values[0] > k:
+    if sys.f(0) > k:
         return None
     eff = sys.array <= k
     bits = 1 << np.arange(sys.n, dtype=np.int64)
@@ -264,8 +264,8 @@ def chain_extend_single(sys: ConnectivitySystem, chain: Chain, element: int) -> 
     if top & bit:
         raise ElementAlreadyPresent(f"element {element} already in the top set")
     new = top | bit
-    if sys.values[new] > chain.k:
-        raise EfficiencyViolation(new, sys.values[new], chain.k)
+    if sys.f(new) > chain.k:
+        raise EfficiencyViolation(new, sys.f(new), chain.k)
     return Chain(chain.sets + (new,), chain.k)
 
 

@@ -46,7 +46,7 @@ def instance_from_dict(data: dict) -> ConnectivitySystem:
         try:
             return ConnectivitySystem.from_table(labels, table)
         except KeyError as exc:  # an unknown element label
-            raise InputError(str(exc)) from None
+            raise InputError(exc.args[0]) from None
     if kind in ("graph_edge_cut", "graph_vertex_cut"):
         for key in ("vertices", "edges"):
             if key not in fn:
@@ -98,7 +98,7 @@ def family_from_dict(data: dict, sys: ConnectivitySystem, k: int | None = None) 
             else:
                 members.append(sys.ground.mask_of(entry))
         except KeyError as exc:
-            raise InputError(str(exc)) from None
+            raise InputError(exc.args[0]) from None
     return SetFamily(frozenset(members), bound, sys.n)
 
 

@@ -1,11 +1,15 @@
 """Independent re-implementations used as test oracles.
 
 Everything here is written directly from the axiom and definition texts with
-plain nested loops, on purpose sharing no helper code with the library.
+plain nested loops, on purpose sharing no helper code with the library. The
+few oracles that must reach n = 18 read the definitions over whole numpy
+arrays instead, still in plain mask order.
 """
 
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 
 def bits(mask):
@@ -167,6 +171,33 @@ def oracle_first_local_violation(values, n):
                 if values[ai] + values[aj] < values[a] + values[ai | aj]:
                     return (ai, aj)
     return None
+
+
+def oracle_local_scan(values, n):
+    """oracle_first_local_violation over whole arrays in mask order, fast enough for n = 18.
+
+    For each i < j in turn, every A without i and j is tested at once in int64.
+    """
+    f = np.asarray(values, dtype=np.int64)
+    masks = np.arange(1 << n)
+    for i in range(n):
+        without_i = masks[(masks >> i & 1) == 0]
+        for j in range(i + 1, n):
+            a = without_i[(without_i >> j & 1) == 0]
+            ai, aj = a | 1 << i, a | 1 << j
+            bad = np.flatnonzero(f[ai] + f[aj] < f[a] + f[ai | aj])
+            if bad.size:
+                return int(ai[bad[0]]), int(aj[bad[0]])
+    return None
+
+
+def oracle_vertex_cut_array(vertices, edges):
+    """oracle_cut_values("vertex", ...) over whole arrays: each edge adds 1 where exactly one end is in S."""
+    masks = np.arange(1 << vertices)
+    values = np.zeros(1 << vertices, dtype=np.int64)
+    for u, v in edges:
+        values += (masks >> u ^ masks >> v) & 1
+    return values
 
 
 def oracle_branch_width(values, n):

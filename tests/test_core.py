@@ -1,16 +1,24 @@
 import random
 import re
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from connsys import ConnectivitySystem, enumerate_k_efficient
+from connsys import (
+    ConnectivitySystem,
+    check_family,
+    construct_ultrafilter,
+    enumerate_k_efficient,
+    find_sequence_chain,
+)
 from connsys.core import (
     GroundSet,
     _check_submodularity,
+    _layout_plan,
     _local_violation,
     edge_cut_values,
     popcount,
@@ -29,7 +37,9 @@ from .oracles import (
     oracle_cut_values,
     oracle_first_local_violation,
     oracle_k_efficient,
+    oracle_local_scan,
     oracle_submodularity_witness,
+    oracle_vertex_cut_array,
 )
 
 
@@ -257,6 +267,7 @@ def test_vertex_cut_builder_matches_oracle(nv, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     got = vertex_cut_values(nv, edges)
     assert got.tolist() == oracle_cut_values("vertex", nv, nv, edges)
+    assert got.dtype == np.min_scalar_type(2 * len(edges))
 
 
 @settings(max_examples=40, deadline=None)
@@ -266,6 +277,43 @@ def test_edge_cut_builder_matches_oracle(nv, data):
     edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
     got = edge_cut_values(len(edges), nv, edges)
     assert got.tolist() == oracle_cut_values("edge", len(edges), nv, edges)
+    assert got.dtype == np.min_scalar_type(min(nv, 2 * len(edges)))
+
+
+def test_vertex_cut_builder_at_the_dtype_boundary():
+    # K20 has 190 edges, so the running sums are bounded by 380 and need uint16;
+    # its cut values |S| (20 - |S|) are at most 100, so the system keeps uint8
+    n = 20
+    edges = list(combinations(range(n), 2))
+    values = vertex_cut_values(n, edges)
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.int64)).astype(np.int64)
+    assert values.dtype == np.uint16
+    assert np.array_equal(values, size * (n - size))
+    sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges)
+    assert sys.array.dtype == np.uint8 and sys.max_value == 100
+
+
+@pytest.mark.parametrize("n, m, limit", [(16, 48, 1200), (18, 54, 600)])
+def test_large_vertex_cuts_store_one_array(n, m, limit):
+    labels = [f"v{i}" for i in range(n)]
+    edges = random.Random(n).sample(list(combinations(range(n), 2)), m)
+    values = vertex_cut_values(n, edges)
+    assert values.dtype == np.uint8
+    assert np.array_equal(values, oracle_vertex_cut_array(n, edges))
+    sys = ConnectivitySystem.from_vertex_cut(labels, n, edges)
+    assert sys.array.dtype == np.uint8 and np.array_equal(sys.array, values)
+    k = max(k for k in range(sys.max_value + 1) if np.count_nonzero(sys.array <= k) <= limit)
+    assert enumerate_k_efficient(sys, k)
+    fam = construct_ultrafilter(sys, k)
+    assert check_family(sys, fam, "ultrafilter").holds
+    for bound in (sys.max_value // 3, sys.max_value // 2):
+        find_sequence_chain(sys, bound)
+    assert "values" not in sys.__dict__  # no call above builds the value tuple
+    twin = ConnectivitySystem.from_vertex_cut(labels, n, edges)
+    assert twin == sys and hash(twin) == hash(sys) and twin.array is not sys.array
+    assert ConnectivitySystem.from_vertex_cut(labels, n, edges[1:]) != sys
+    assert ConnectivitySystem.from_table(labels, dict(enumerate(values.tolist()))) != sys  # another spec_kind
+    assert sys.values == tuple(values.tolist()) and sys.values is sys.values
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,21 +366,98 @@ def test_local_check_returns_the_first_local_violation(n, top, data):
     assert _local_violation(np.array(values, dtype=np.int64), n) == oracle_first_local_violation(values, n)
 
 
-def test_submodularity_proof_keeps_no_wide_temporaries():
-    # 2^16 values as int64 take 8 bytes each; the proof's temporaries must stay in a
-    # narrow dtype for a function with max f below 128
-    rng = random.Random(16)
-    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
-    values = vertex_cut_values(16, rng.sample(pairs, 48))
+@pytest.mark.parametrize("n, m", [(16, 48), (18, 54)])
+def test_submodularity_proof_keeps_no_wide_temporaries(n, m):
+    # 2^n values as int64 take 8 bytes each; the proof's temporaries, a rotated
+    # layout among them, must stay in a narrow dtype for a function with max f below 128
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    values = vertex_cut_values(n, rng.sample(pairs, m))
     assert values.max() < 128
-    ground = GroundSet(tuple(f"v{i}" for i in range(16)))
+    ground = GroundSet(tuple(f"v{i}" for i in range(n)))
     tracemalloc.start()
     try:
         _check_submodularity(ground, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**16
+    assert peak <= 4 * 2**n
+
+
+def _planted(n, pairs, seed):
+    """A symmetric table whose broken local pairs all have their bits in pairs.
+
+    f(S) = 2 |S| (n - |S|) minus the number of pairs (a, b) that S separates
+    is submodular, with slack 2 on the local pairs whose bits are in pairs and
+    4 on all others. For each (a, b), f(T) and f(X - T) are lowered by 3 for a
+    random T that holds a, not b, and does not separate the other pairs. That
+    breaks the local pairs with bits (a, b) that have T or X - T as a side,
+    and no other: the lowered sets are more than two elements apart, so no
+    local pair has two of them as sides.
+    """
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.bitwise_count(masks).astype(np.int64)
+    values = 2 * size * (n - size)
+    for a, b in pairs:
+        values -= (masks >> a ^ masks >> b) & 1
+    lowered = []
+    for a, b in pairs:
+        while True:
+            t = (rng.getrandbits(n) | 1 << a) & ~(1 << b)
+            if all(t >> c & 1 == t >> d & 1 for c, d in pairs if (c, d) != (a, b)) and all(
+                popcount(t ^ u) > 2 and popcount(full ^ t ^ u) > 2 for u in lowered
+            ):
+                break
+        lowered.append(t)
+        values[t] -= 3
+        values[full ^ t] -= 3
+    return values
+
+
+def _planted_cases():
+    for n in range(15, 19):
+        third, two_thirds = n // 3, 2 * n // 3
+        yield n, [(1, 3)]  # both bits in the lowest five
+        yield n, [(2, n - 3)]  # one low bit, one high bit
+        yield n, [(n - 4, n - 1)]  # both bits high
+        # pairs that straddle a rotation boundary
+        yield n, [(third - 1, third)]
+        yield n, [(two_thirds - 1, two_thirds)]
+        yield n, [(4, third + 4)]
+        yield n, [(0, n - 1)]
+        # a later pair proved before an earlier one in another layout
+        yield n, [(6, 8), (2, n - 3)]
+        yield n, [(1, 3), (n - 4, n - 1)]
+
+
+@pytest.mark.parametrize(
+    "n, pairs", [pytest.param(n, pairs, id=f"n{n}-" + "-".join(f"{a}_{b}" for a, b in pairs)) for n, pairs in _planted_cases()]
+)
+def test_rotated_layouts_find_the_first_local_violation(n, pairs):
+    values = _planted(n, pairs, seed=1000 * n + pairs[0][0] * 31 + pairs[0][1])
+    want = oracle_local_scan(values, n)
+    assert want is not None
+    a, b = want
+    assert ((a & ~b).bit_length() - 1, (b & ~a).bit_length() - 1) == min(pairs)
+    assert _local_violation(values, n) == want
+    with pytest.raises(SubmodularityViolation) as exc:
+        _check_submodularity(GroundSet(tuple(f"x{i}" for i in range(n))), values)
+    assert (exc.value.a_mask, exc.value.b_mask) == want
+
+
+@pytest.mark.parametrize("n", [2, 8, 14, 15, 16, 18, 20])
+def test_layout_plan_proves_every_pair_once_on_long_runs(n):
+    plan = _layout_plan(n)
+    assert sorted(pair for _, pairs in plan for pair in pairs) == list(combinations(range(n), 2))
+    assert all(list(pairs) == sorted(pairs) for _, pairs in plan)
+    if n < 15:
+        assert [r for r, _ in plan] == [0]
+        return
+    assert [r for r, _ in plan] == [0, n // 3, 2 * n // 3]
+    for r, pairs in plan:
+        assert all(min((i - r) % n, (j - r) % n) >= 5 for i, j in pairs)
 
 
 def test_edge_cut_of_any_graph_validates(k4_edge):
