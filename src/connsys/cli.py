@@ -4,8 +4,11 @@ Exit codes: 0 success; 1 a requested check or audit reported a violation,
 counterexample, or inconsistency, as does validate on a function that is not
 symmetric or not submodular (a report is still emitted); 2 input or size
 errors, which include that function given to any other command (diagnostic
-on stderr). An audit whose size gate stops one k still reports every other
-k, puts the gate's message in that k's entry, and exits 2.
+on stderr); 3 an internal error: a self-check of the library failed, or
+some other unexpected exception was raised (one ``InternalError: ...`` line
+on stderr, no traceback, no report). An audit whose size gate stops one k
+still reports every other k, puts the gate's message in that k's entry, and
+exits 2.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     EmptyIntersection,
     FunctionViolation,
     InputError,
+    InternalError,
     SizeGateExceeded,
 )
 from .families import check_family, classify_family
@@ -347,12 +351,18 @@ def main(argv=None) -> int:
     except ConnSysError as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"InputError: {exc}", file=_sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"InputError: malformed JSON: {exc}", file=_sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"InternalError: {exc}", file=_sys.stderr)
+        return 3
+    except Exception as exc:  # any other failure is a defect too
+        print(f"InternalError: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return 3
     _sys.stdout.write(dumps_report(_report(args, argv, result, started)))
     return code
 

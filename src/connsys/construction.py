@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
 from .errors import (
     EfficiencyEscape,
     EmptyIntersection,
     GroundSetTooLargeForEnumeration,
+    InternalError,
     InvalidParameter,
     NotAFilter,
 )
@@ -42,21 +46,35 @@ class UltrafilterNumberResult:
     witness_prefilter: SetFamily | None
 
 
+def _record(search, members, results: list[SetFamily], non_principal_only: bool, limit: int | None) -> bool:
+    """Re-verify a completed family and keep it; False once limit families are found."""
+    if non_principal_only and any(popcount(m) == 1 for m in members):
+        return True
+    fam = SetFamily(frozenset(members), search.k, search.sys.n)
+    verdict = check_family(search.sys, fam, search.kind)
+    if not verdict.holds:
+        raise InternalError(
+            f"enumeration produced a family failing {verdict.violated_axiom}; "
+            "propagation is out of sync with the axiom checks"
+        )
+    results.append(fam)
+    return limit is None or len(results) < limit
+
+
 class _PairSearch:
-    """In/out decisions on the k-efficient sets, closed under the rules of one kind.
+    """In/out decisions on the k-efficient sets, closed under the rules of one filter kind.
 
-    Every kind shares one state per search: a list over all 2^n masks, in
-    which sets that are not k-efficient are never members, that propagation
-    changes in place and a trail restores. The rules are:
+    Filter, ultrafilter and single_ultrafilter share one state per search: a
+    list over all 2^n masks, in which sets that are not k-efficient are never
+    members, that propagation changes in place and a trail restores. The
+    rules are:
 
-    - every kind but tangle fails when the empty set is put in;
-    - ultrafilter and tangle put the complement of each member out;
-    - filter, ultrafilter and single_ultrafilter put in efficient supersets;
+    - putting the empty set in fails;
+    - ultrafilter puts the complement of each member out;
+    - every kind puts in efficient supersets;
     - filter and ultrafilter put in efficient intersections of members;
     - single_ultrafilter puts in a member minus an efficient singleton, when
       that is efficient;
-    - tangle puts out every efficient superset of what two members leave
-      uncovered;
     - putting a set out puts its complement in.
 
     Propagation reaches the least fixpoint of these rules, and skips every
@@ -70,10 +88,12 @@ class _PairSearch:
       efficient supersets of the root, so they are queued already;
     - a single_ultrafilter member s with an efficient s - e skips its
       superset scan, because s - e goes in too and the scan made below it
-      covers the supersets of s;
-    - a tangle member s scans once per distinct union s | t, and skips a
-      union u other than s whose complement is already out: u is then in or
-      queued, and its own pair (u, u) makes the same scan.
+      covers the supersets of s.
+
+    These kinds keep sparse lists because their work follows the efficient
+    sets: a member's superset scan reads a memoised list, where a bitset
+    rule would pass over all 2^n masks however few are efficient. Tangles
+    are decided on bitsets by ``_TangleSearch``.
 
     ``run`` enumerates families: decisions are explored in ascending-bitmask
     order with the "in" branch first, so completed families come out in
@@ -135,26 +155,14 @@ class _PairSearch:
             s = queue.pop()
             if state[s] == _IN:
                 continue
-            if state[s] == _OUT or (s == 0 and kind != "tangle"):
+            if state[s] == _OUT or s == 0:
                 return False
             state[s] = _IN
             self.trail.append(s)
             ins.append(s)
             self.ops += 1
-            if kind in ("ultrafilter", "tangle") and not self._set_out(full ^ s, queue):
+            if kind == "ultrafilter" and not self._set_out(full ^ s, queue):
                 return False
-            if kind == "tangle":
-                unions = set()
-                for t in ins:
-                    u = s | t
-                    # once full ^ u is out, u is in or queued and its own pair does this scan
-                    if u in unions or (u != s and state[full ^ u] == _OUT):
-                        continue
-                    unions.add(u)
-                    for c in self._supersets(full ^ u):
-                        if state[c] != _OUT and not self._set_out(c, queue):
-                            return False
-                continue
             r = root.get(s)
             rests = ()
             if kind == "single_ultrafilter":
@@ -193,14 +201,7 @@ class _PairSearch:
 
     def run(self, non_principal_only: bool, limit: int | None) -> list[SetFamily]:
         results: list[SetFamily] = []
-        queue: list[int] = []
-        if self.kind == "tangle":
-            outs = [self.full] + [self.full ^ (1 << i) for i in range(self.sys.n)]
-            ok = all(self._set_out(m, queue) for m in outs)
-        else:
-            queue.append(self.full)  # the empty set can never be a member
-            ok = True
-        if ok and self._propagate(queue):
+        if self._propagate([self.full]):  # the empty set can never be a member
             self._dfs(0, results, non_principal_only, limit)
         return results
 
@@ -210,18 +211,7 @@ class _PairSearch:
         while pos < len(keff) and state[keff[pos]] != _UNKNOWN:
             pos += 1
         if pos == len(keff):
-            members = frozenset(self.ins)
-            if non_principal_only and any(popcount(m) == 1 for m in members):
-                return True
-            fam = SetFamily(members, self.k, self.sys.n)
-            verdict = check_family(self.sys, fam, self.kind)
-            if not verdict.holds:
-                raise RuntimeError(
-                    f"enumeration produced a family failing {verdict.violated_axiom}; "
-                    "propagation is out of sync with the axiom checks"
-                )
-            results.append(fam)
-            return limit is None or len(results) < limit
+            return _record(self, self.ins, results, non_principal_only, limit)
         mask = keff[pos]
         for branch in (_IN, _OUT):
             mark = self._mark()
@@ -235,6 +225,133 @@ class _PairSearch:
         return True
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+@functools.cache
+def _element_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each element i, the 2^n-bit sets of the masks that hold i and of those that lack it."""
+    size = max(1, (1 << n) // 8)
+    every = (1 << (1 << n)) - 1
+    has = []
+    for i in range(n):
+        if i < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[i]]) * size
+        else:
+            run = 1 << (i - 3)
+            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
+        has.append(int.from_bytes(pattern, "little") & every)
+    return tuple(has), tuple(every ^ h for h in has)
+
+
+class _TangleSearch:
+    """Tangle decisions on two bitsets over all 2^n masks, in which bit c stands for mask c.
+
+    ``ins`` holds the members and ``outs`` the sets put out. A member's
+    complement goes out, and an out set's complement goes in, so at every
+    fixpoint ``outs`` is the bit reversal of ``ins`` (bit c to bit full ^ c),
+    and a conflict is a set in both. The cover rule puts out every efficient
+    superset of what two members s and t leave uncovered; the complements
+    of those sets are the efficient subsets of s | t, so each round puts in
+    the efficient part of the subset closure of the pair unions. For a member
+    s, the unions {s | t : t in ins} are popcount(s) folds of ``ins``, the
+    fold for element i moving every mask that lacks i up by 2^i. Each round
+    pairs the members that are new with every member, s itself included, and
+    rounds repeat until no member is new. A new member inside another member
+    is not paired: its unions lie inside that member's, whose subsets are
+    put in by that member's own pairs.
+
+    The DFS branches on the lowest undecided efficient mask, "in" first,
+    exactly as ``_PairSearch`` does, and the least fixpoint is unique, so
+    the families and their order are the same. A branch keeps its parent's
+    two integers, so nothing is undone. ``ops`` counts one per member put in
+    and one per 2^n-bit pass: one per fold, and three per round for the
+    subset closures (n shift-ORs each).
+    """
+
+    kind = "tangle"
+
+    def __init__(self, sys: ConnectivitySystem, k: int):
+        self.sys = sys
+        self.k = k
+        self.has, self.lack = _element_bitsets(sys.n)
+        self.size = max(1, (1 << sys.n) // 8)
+        self.pad = 8 * self.size - (1 << sys.n)
+        self.eff = int.from_bytes(np.packbits(sys.array <= k, bitorder="little").tobytes(), "little")
+        self.ops = 0
+
+    def _reverse(self, bits: int) -> int:
+        """Bit c moved to bit full ^ c: the complement of every set."""
+        raw = bits.to_bytes(self.size, "little").translate(_REVERSED_BYTE)
+        return int.from_bytes(raw, "big") >> self.pad
+
+    def _masks(self, bits: int) -> list[int]:
+        """The masks whose bits are set, ascending."""
+        if bits.bit_count() < 32:
+            out = []
+            while bits:
+                low = bits & -bits
+                out.append(low.bit_length() - 1)
+                bits ^= low
+            return out
+        raw = np.frombuffer(bits.to_bytes(self.size, "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+    def _down(self, bits: int) -> int:
+        """Every subset of every set in bits."""
+        for i, h in enumerate(self.has):
+            bits |= (bits & h) >> (1 << i)
+        return bits
+
+    def _close(self, ins: int, new: int) -> tuple[int, int] | None:
+        """(ins, outs) at the least fixpoint over the members ins, of which new are unpaired; None on a conflict."""
+        has, lack = self.has, self.lack
+        while True:
+            outs = self._reverse(ins)
+            if ins & outs:
+                return None
+            if not new:
+                return ins, outs
+            self.ops += new.bit_count()
+            # a member inside another member only makes unions inside that member's
+            inside = 0
+            for i, h in enumerate(has):
+                inside |= (ins & h) >> (1 << i)
+            inside = self._down(inside)
+            unions = 0
+            for s in self._masks(new & ~inside):
+                folded = ins
+                for i in range(s.bit_length()):
+                    if s >> i & 1:
+                        folded = (folded & has[i]) | ((folded & lack[i]) << (1 << i))
+                self.ops += s.bit_count()
+                unions |= folded
+            self.ops += 3
+            new = (self._down(unions) & self.eff | ins) ^ ins
+            ins |= new
+
+    def run(self, non_principal_only: bool, limit: int | None) -> list[SetFamily]:
+        results: list[SetFamily] = []
+        # X and the co-singletons are out, so the empty set and the efficient singletons are in
+        seeds = (1 | sum(1 << (1 << i) for i in range(self.sys.n))) & self.eff
+        closed = self._close(seeds, seeds)
+        if closed:
+            self._dfs(*closed, results, non_principal_only, limit)
+        return results
+
+    def _dfs(self, ins, outs, results, non_principal_only, limit) -> bool:
+        """Complete the decisions from the state (ins, outs); False once limit families are found."""
+        undecided = self.eff & ~(ins | outs)
+        if not undecided:
+            return _record(self, self._masks(ins), results, non_principal_only, limit)
+        mask = (undecided & -undecided).bit_length() - 1
+        for side in (mask, self.sys.full_mask ^ mask):
+            closed = self._close(ins | 1 << side, 1 << side)
+            if closed and not self._dfs(*closed, results, non_principal_only, limit):
+                return False
+        return True
+
+
 def enumerate_families(sys: ConnectivitySystem, req: EnumerationRequest) -> list[SetFamily]:
     """All families of the requested kind and order, in canonical search order."""
     limit = gate_limit(ENUMERATION_MAX_N)
@@ -242,7 +359,7 @@ def enumerate_families(sys: ConnectivitySystem, req: EnumerationRequest) -> list
         raise GroundSetTooLargeForEnumeration(f"exhaustive family enumeration is gated to n <= {limit}")
     if req.k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")
-    search = _PairSearch(sys, req.k, req.kind)
+    search = _TangleSearch(sys, req.k) if req.kind == "tangle" else _PairSearch(sys, req.k, req.kind)
     return search.run(req.non_principal_only, req.limit)
 
 
@@ -260,14 +377,14 @@ def _decide_pairs(search: _PairSearch) -> None:
             continue
         first, second = (mask, comp) if popcount(mask) >= popcount(comp) else (comp, mask)
         if not (search.add(first) or search.add(second)):
-            raise RuntimeError("neither side of an undecided pair extends consistently")
+            raise InternalError("neither side of an undecided pair extends consistently")
 
 
 def _verified_ultrafilter(sys: ConnectivitySystem, search: _PairSearch, what: str) -> SetFamily:
     result = SetFamily(frozenset(search.ins), search.k, sys.n)
     final = check_family(sys, result, "ultrafilter")
     if not final.holds:
-        raise RuntimeError(f"{what} produced a family failing {final.violated_axiom}")
+        raise InternalError(f"{what} produced a family failing {final.violated_axiom}")
     return result
 
 
@@ -283,7 +400,7 @@ def extend_filter_to_ultrafilter(sys: ConnectivitySystem, fam: SetFamily) -> Set
         raise NotAFilter(verdict)
     search = _PairSearch(sys, fam.k, "filter")
     if not all(search.add(m) for m in fam.members):
-        raise RuntimeError("a verified filter does not close consistently")
+        raise InternalError("a verified filter does not close consistently")
     _decide_pairs(search)
     return _verified_ultrafilter(sys, search, "extension")
 
@@ -317,7 +434,7 @@ def construct_ultrafilter_with_stats(sys: ConnectivitySystem, k: int) -> tuple[S
     _decide_pairs(search)
     budget = OPERATION_BUDGET_FACTOR * (4**sys.n)
     if search.ops > budget:
-        raise RuntimeError(f"operation count {search.ops} exceeded the budget {budget}")
+        raise InternalError(f"operation count {search.ops} exceeded the budget {budget}")
     return _verified_ultrafilter(sys, search, "construction"), search.ops
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     GroundSetTooLarge,
     InputError,
+    InternalError,
     NormalizationViolation,
     SubmodularityViolation,
     SymmetryViolation,
@@ -190,7 +191,7 @@ def _reject_first_bad_entry(ground: GroundSet, table: dict[int, int]) -> None:
             raise NormalizationViolation(f"negative value {val} for subset {ground.subset_key(mask)!r}")
         if val > MAX_VALUE:
             raise InputError(f"value {val} for subset {ground.subset_key(mask)!r} exceeds {MAX_VALUE}")
-    raise RuntimeError("the whole-array table checks and the entry scan disagree")
+    raise InternalError("the whole-array table checks and the entry scan disagree")
 
 
 def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:

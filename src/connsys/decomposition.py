@@ -8,6 +8,7 @@ from .construction import EnumerationRequest, enumerate_families
 from .core import ConnectivitySystem, gate_limit, popcount
 from .errors import (
     GroundSetTooLargeForExhaustiveSearch,
+    InternalError,
     InvalidParameter,
     MalformedTree,
     NotAPermutation,
@@ -230,7 +231,7 @@ def _branch_width_dp(sys: ConnectivitySystem) -> WidthResult:
     cert = BranchDecomposition(n, tuple(edges), tuple(range(n)))
     got = decomposition_width(sys, cert)
     if got != width:
-        raise RuntimeError(f"branch-width certificate re-evaluates to {got}, not {width}")
+        raise InternalError(f"branch-width certificate re-evaluates to {got}, not {width}")
     return WidthResult(width, cert)
 
 
@@ -271,7 +272,7 @@ def _linear_width_dp(sys: ConnectivitySystem) -> WidthResult:
     cert = LinearOrdering(tuple(order))
     got = ordering_width(sys, cert)
     if got != width:
-        raise RuntimeError(f"linear-width certificate re-evaluates to {got}, not {width}")
+        raise InternalError(f"linear-width certificate re-evaluates to {got}, not {width}")
     return WidthResult(width, cert)
 
 

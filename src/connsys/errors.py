@@ -5,6 +5,10 @@ class ConnSysError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(RuntimeError):
+    """A self-check failed: the library contradicted itself, whatever the input."""
+
+
 class InputError(ConnSysError):
     """Malformed instance, family, or certificate input."""
 

@@ -27,6 +27,7 @@ from .errors import (
     FipCrossCheckWarning,
     GroundSetMismatch,
     GroundSetTooLargeForEnumeration,
+    InternalError,
     InvalidParameter,
     NotAFilter,
 )
@@ -551,7 +552,7 @@ def check_family(
         if witness is not None:
             return Verdict(False, label, tuple(witness[:3]), _derived_flags(kind, c))
         if fails is not None:
-            raise RuntimeError(f"axiom {label} fails on the membership arrays but its scan finds no witness")
+            raise InternalError(f"axiom {label} fails on the membership arrays but its scan finds no witness")
     return Verdict(True, None, (), _derived_flags(kind, c))
 
 

@@ -22,6 +22,7 @@ from .errors import (
     ElementAbsent,
     ElementAlreadyPresent,
     GroundSetTooLargeForEnumeration,
+    InternalError,
     InvalidParameter,
     NotKEfficient,
 )
@@ -176,7 +177,7 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     members = [family[i] for i in range(n) if i in left_z and i not in right_z]
     expected = n - len(succ_of)
     if len(members) != expected:
-        raise RuntimeError(f"antichain extraction yielded {len(members)}, expected {expected}")
+        raise InternalError(f"antichain extraction yielded {len(members)}, expected {expected}")
     return make_antichain(sys, members, k)
 
 

@@ -482,3 +482,29 @@ def test_main_reuses_its_parser_across_calls(files, capsys):
     capsys.readouterr()
     second = main(argv), capsys.readouterr()
     assert first[0] == second[0] and first[1].out == second[1].out and first[1].out
+
+
+@pytest.mark.parametrize("failure", ["verdict", "exception"])
+def test_internal_error_exit3(files, capsys, monkeypatch, failure):
+    """A failed self-check, or any unexpected exception, exits 3 with one stderr line and no report."""
+    from types import SimpleNamespace
+
+    from connsys import construction
+
+    def broken_check(sys, fam, kind, **kw):
+        if failure == "exception":
+            raise ValueError("unexpected")
+        return SimpleNamespace(holds=False, violated_axiom="T2")
+
+    monkeypatch.setattr(construction, "check_family", broken_check)
+    inst = files("c4.json", C4_EDGES)
+    code, report, err = run(capsys, "enumerate", "tangles", inst, "-k", "1")
+    assert (code, report) == (3, None)
+    assert err.startswith("InternalError: ") and err.count("\n") == 1, err
+    assert ("T2" if failure == "verdict" else "ValueError: unexpected") in err
+
+
+def test_unreadable_instance_exit2(tmp_path, capsys):
+    code, report, err = run(capsys, "validate", str(tmp_path))
+    assert (code, report) == (2, None)
+    assert err.startswith("InputError: ") and err.count("\n") == 1

@@ -18,7 +18,7 @@ from connsys import (
     truncate_order,
     ultrafilter_number,
 )
-from connsys.construction import _IN, _OUT, _PairSearch
+from connsys.construction import _IN, _OUT, _PairSearch, _TangleSearch
 from connsys.core import enumerate_k_efficient
 from connsys.errors import (
     EmptyIntersection,
@@ -78,6 +78,27 @@ class TestEnumerate:
                             want.append(members)
                     want.sort(key=lambda F: [m not in F for m in keff])
                     assert got == want, (sys.spec_payload, k, kind)
+
+    def test_tangle_completeness_against_brute_force_at_n4(self):
+        """Every family of efficient sets, at each k where there are 6 to 12 of them."""
+        rng = random.Random(1404)
+        counts = Counter()
+        while sum(counts.values()) < 40:
+            sys = random_cut_system(rng, 4, min_n=4)
+            for k in range(sys.max_value + 1):
+                keff = enumerate_k_efficient(sys, k)
+                if not 6 <= len(keff) <= 12:
+                    continue
+                want = []
+                for bitset in range(1 << len(keff)):
+                    members = frozenset(m for j, m in enumerate(keff) if bitset >> j & 1)
+                    if oracle_family_holds(sys.values, 4, members, k, "tangle"):
+                        want.append(members)
+                want.sort(key=lambda F: [m not in F for m in keff])
+                got = [f.members for f in enumerate_families(sys, EnumerationRequest("tangle", k))]
+                assert got == want, (sys.spec_payload, k)
+                counts[min(len(got), 2)] += 1
+        assert counts[0] and counts[1] and counts[2], counts
 
     def test_limit_and_determinism(self, k4_edge):
         for k in range(k4_edge.max_value + 1):
@@ -158,9 +179,9 @@ class TestExtend:
             done += 1
 
 
-def random_cut_system(rng, max_n):
-    """The vertex-cut or edge-cut system of a random graph, over 3..max_n elements."""
-    n = rng.randint(3, max_n)
+def random_cut_system(rng, max_n, min_n=3):
+    """The vertex-cut or edge-cut system of a random graph, over min_n..max_n elements."""
+    n = rng.randint(min_n, max_n)
     if rng.random() < 0.5:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = rng.sample(pairs, rng.randint(1, len(pairs)))
@@ -202,7 +223,23 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         checked[self.kind, ok] += 1
         return ok
 
+    real_close = _TangleSearch._close
+
+    def checked_close(self, ins, new):
+        # every member's complement is out: the rules put it out, and a branch's parent is a fixpoint
+        seeds_in = [m for m in range(1 << self.sys.n) if ins >> m & 1]
+        seeds_out = [self.sys.full_mask ^ m for m in seeds_in]
+        want = oracle_closure(self.sys.values, self.sys.n, self.k, "tangle", seeds_in, seeds_out)
+        closed = real_close(self, ins, new)
+        assert (closed is not None) == (want is not None), (self.sys.spec_payload, self.k, seeds_in)
+        if closed is not None:
+            got = tuple({m for m in range(1 << self.sys.n) if bits >> m & 1} for bits in closed)
+            assert got == want, (self.sys.spec_payload, self.k)
+        checked["tangle", closed is not None] += 1
+        return closed
+
     monkeypatch.setattr(_PairSearch, "_propagate", checked_propagate)
+    monkeypatch.setattr(_TangleSearch, "_close", checked_close)
     rng = random.Random(8)
     systems = [
         # ultrafilter propagation conflicts are rare; this system has one at k = 3
@@ -352,3 +389,29 @@ class TestUltrafilterNumber:
                     if best is not None:
                         break
                 assert got.u == best
+
+
+@pytest.mark.parametrize("graph", ["K6", "Petersen"])
+def test_tangle_refutations_at_width_scale(graph, monkeypatch):
+    """Both edge-cut systems have n = 15 and branch-width 4: a tangle exists at k = 3 and none at k = 4, 5."""
+    import networkx as nx
+
+    from connsys.decomposition import duality_audit
+
+    monkeypatch.setenv("CONNSYS_MAX_N", "16")
+
+    def no_superset_lists(self, mask):
+        raise AssertionError("a tangle search built a superset list")
+
+    monkeypatch.setattr(_PairSearch, "_supersets", no_superset_lists)
+    g = nx.complete_graph(6) if graph == "K6" else nx.petersen_graph()
+    edges = sorted(tuple(sorted(e)) for e in g.edges())
+    sys = ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(len(edges))], g.number_of_nodes(), edges)
+    assert sys.n == 15
+    found = enumerate_families(sys, EnumerationRequest("tangle", 3, limit=1))
+    assert len(found) == 1 and check_family(sys, found[0], "tangle").holds
+    for k in (4, 5):
+        assert enumerate_families(sys, EnumerationRequest("tangle", k, limit=1)) == []
+    for k in (3, 4, 5):
+        verdict = duality_audit(sys, k, "tangle")
+        assert verdict.consistent and verdict.width == 4, (k, verdict)

@@ -38,3 +38,15 @@ def test_cli_keeps_the_names_the_benchmark_wraps():
     }
     missing = sorted(name for name in names if not callable(getattr(cli, name, None)))
     assert not missing, f"connsys.cli lacks {missing}"
+
+
+def test_self_checks_raise_internal_error():
+    """A failed self-check raises InternalError, which the command line maps to exit 3."""
+    offending = []
+    for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    offending.append(f"{path.name}:{node.lineno}")
+    assert not offending, f"raise InternalError instead of RuntimeError at {offending}"
