@@ -19,7 +19,6 @@ from .errors import (
 from .families import SetFamily, _intersection_values, check_family
 
 ENUMERATION_MAX_N = 8
-ULTRAFILTER_NUMBER_MAX_N = 6
 OPERATION_BUDGET_FACTOR = 64
 
 # Ordered so that state < _IN means "efficient and not yet a member".
@@ -458,32 +457,37 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     return generated
 
 
-def _minimal_members(fam: SetFamily) -> list[int]:
-    ordered = fam.sorted_members()
-    return [m for m in ordered if not any(o != m and o & ~m == 0 for o in ordered)]
-
-
 def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResult:
     """Minimum size of a prefilter whose generated up-closure is a non-principal ultrafilter.
 
     A downward-directed generating family must contain every minimal member
     of the generated ultrafilter, and directedness collapses two distinct
-    minimal members into one; so only ultrafilters with a unique minimal
-    member are generable, and then the singleton family of that member is a
-    smallest witness.
+    minimal members into one; so only an ultrafilter with a unique minimal
+    member m is generable, by {m}. It holds every k-efficient set or its
+    complement, so no efficient set separates two elements of m, and m is an
+    efficient class of that equivalence. Conversely the up-closure of an
+    efficient class C is an ultrafilter, non-principal iff |C| >= 2. The
+    witness is the C whose up-closure enumeration reaches first: the largest
+    membership vector over the efficient sets in ascending order.
     """
-    limit = gate_limit(ULTRAFILTER_NUMBER_MAX_N)
-    if sys.n > limit:
-        raise GroundSetTooLargeForEnumeration(f"ultrafilter number search is gated to n <= {limit}")
-    req = EnumerationRequest("ultrafilter", k, non_principal_only=True)
-    for uf in enumerate_families(sys, req):
-        mins = _minimal_members(uf)
-        if len(mins) == 1:
-            witness = SetFamily(frozenset(mins), k, sys.n)
-            generated = _up_closure(sys, witness)
-            if generated.members == uf.members:
-                return UltrafilterNumberResult(1, witness)
-    return UltrafilterNumberResult(None, None)
+    if k < 0:
+        raise InvalidParameter("the efficiency bound must be non-negative")
+    keff = np.flatnonzero(sys.array <= k)  # holds X, since f(X) = f(empty) = 0
+    classes = []
+    left = sum(1 << i for i in range(sys.n) if sys.f(1 << i) > k)  # an efficient singleton is a class
+    while left:
+        low = left & -left
+        # the efficient sets that hold low meet in its class: their complements separate the rest
+        cls = int(np.bitwise_and.reduce(keff[(keff & low) != 0]))
+        left &= ~cls
+        if popcount(cls) >= 2 and sys.f(cls) <= k:
+            classes.append(cls)
+    if not classes:
+        return UltrafilterNumberResult(None, None)
+    best = max(classes, key=lambda c: ((keff & c) == c).tobytes())
+    if np.any(((keff & best) != 0) & ((keff & best) != best)):
+        raise InternalError(f"the class {best:#x} is split by a k-efficient set")
+    return UltrafilterNumberResult(1, SetFamily(frozenset([best]), k, sys.n))
 
 
 def _up_closure(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:

@@ -1,19 +1,22 @@
 """Chains, antichains, Dilworth covers, sequence chains, and the theorem-audit engine.
 
 Audits decide a statement in closed form where the axioms alone settle it
-(T3.6, T3.8, T3.9) and otherwise quantify its hypothesis exhaustively at
-desk scale. Each reports either verified_at_scale or a concrete
-counterexample; counterexample witnesses always re-verify against the
-statement being audited.
+(T3.5 from the minimal efficient sets and the ultrafilters; T3.6, T3.8,
+T3.9) and otherwise quantify its hypothesis exhaustively at desk scale.
+The audits of one k share one ultrafilter enumeration and one sequence
+chain. Each reports either verified_at_scale or a concrete counterexample;
+counterexample witnesses always re-verify against the statement being
+audited.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import EnumerationRequest, enumerate_families
+from .construction import ENUMERATION_MAX_N, EnumerationRequest, enumerate_families
 from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
 from .decomposition import branch_width
 from .errors import (
@@ -28,7 +31,6 @@ from .errors import (
 )
 from .families import SetFamily, check_family, complement_family
 
-ANTICHAIN_MAX_N = 5
 BRUTE_COVER_MAX_FAMILY = 12
 
 THEOREM_IDS = (
@@ -98,11 +100,11 @@ def _nonempty_efficient(sys: ConnectivitySystem, k: int) -> list[int]:
     return [m for m in enumerate_k_efficient(sys, k) if m != 0]
 
 
-def _max_matching(family: list[int]) -> dict[int, int]:
+def _max_matching(family: list[int]) -> tuple[dict[int, int], list[list[int]]]:
     """Deterministic Kuhn matching on the strict-inclusion bipartite graph.
 
-    Returns successor links: match[i] = j means family[i] is immediately
-    followed by family[j] in a chain of the cover.
+    Returns the successor links succ_of, where succ_of[i] = j means family[i]
+    is immediately followed by family[j] in a chain of the cover, and the graph.
     """
     n = len(family)
     succ_of = {}  # left index -> right index
@@ -122,18 +124,19 @@ def _max_matching(family: list[int]) -> dict[int, int]:
 
     for i in range(n):
         augment(i, set())
-    return succ_of
+    return succ_of, adj
 
 
 def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[Chain]:
     """Partition family into the minimum number of chains (min path cover)."""
-    if len(family) > 64:
-        raise GroundSetTooLargeForEnumeration("chain cover is gated to families of at most 64 sets")
+    limit = gate_limit(ENUMERATION_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForEnumeration(f"chain cover is gated to n <= {limit}")
     family = sorted(set(family))
     for mask in family:
         if sys.f(mask) > k:
             raise NotKEfficient(mask)
-    succ_of = _max_matching(family)
+    succ_of, _ = _max_matching(family)
     has_pred = set(succ_of.values())
     chains = []
     for i in range(len(family)):
@@ -150,7 +153,7 @@ def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[
 
 def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     """A maximum antichain within the non-empty k-efficient subsets."""
-    limit = gate_limit(ANTICHAIN_MAX_N)
+    limit = gate_limit(ENUMERATION_MAX_N)
     if sys.n > limit:
         raise GroundSetTooLargeForEnumeration(f"antichain search is gated to n <= {limit}")
     if k < 0:
@@ -159,13 +162,12 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     if not family:
         return Antichain((), k)
     n = len(family)
-    succ_of = _max_matching(family)
+    succ_of, adj = _max_matching(family)
     pred_of = {j: i for i, j in succ_of.items()}
     # Koenig: alternating reachability from unmatched left vertices
     left_z = set(i for i in range(n) if i not in succ_of)
     right_z: set[int] = set()
     frontier = list(left_z)
-    adj = [[j for j in range(n) if i != j and family[i] & ~family[j] == 0] for i in range(n)]
     while frontier:
         i = frontier.pop()
         for j in adj[i]:
@@ -282,108 +284,95 @@ def chain_delete_single(sys: ConnectivitySystem, chain: Chain, index: int, eleme
     return make_chain(sys, sets, chain.k)
 
 
-def _all_antichains(family: list[int]):
-    """Every antichain (as tuple of indices into family), DFS in ascending order."""
-    n = len(family)
+class _Level:
+    """One audited k: its ultrafilters and sequence chain, each computed on first use."""
 
-    def extend(start: int, chosen: list[int]):
-        yield tuple(chosen)
-        for i in range(start, n):
-            if all(
-                family[i] & ~family[j] and family[j] & ~family[i] for j in chosen
-            ):
-                chosen.append(i)
-                yield from extend(i + 1, chosen)
-                chosen.pop()
+    def __init__(self, sys: ConnectivitySystem, k: int):
+        self.sys = sys
+        self.k = k
+        self.instance = f"{sys.spec_kind} n={sys.n} k={k}"
 
-    yield from extend(0, [])
+    @functools.cached_property
+    def ultrafilters(self) -> list[SetFamily]:
+        return enumerate_families(self.sys, EnumerationRequest("ultrafilter", self.k))
 
+    @functools.cached_property
+    def non_principal(self) -> list[SetFamily]:
+        return [uf for uf in self.ultrafilters if not any(popcount(m) == 1 for m in uf.members)]
 
-def _enumerate_ultrafilters(sys, k, non_principal_only=False, limit=None):
-    return enumerate_families(
-        sys, EnumerationRequest("ultrafilter", k, non_principal_only=non_principal_only, limit=limit)
-    )
-
-
-def _instance_summary(sys: ConnectivitySystem, k: int) -> str:
-    return f"{sys.spec_kind} n={sys.n} k={k}"
+    @functools.cached_property
+    def sequence_chain(self) -> Chain | None:
+        return find_sequence_chain(self.sys, self.k)
 
 
 def _family_witness(fam: SetFamily) -> tuple:
     return tuple(sorted(fam.members))
 
 
-def _audit_t35(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
-    limit = gate_limit(ANTICHAIN_MAX_N)
-    if sys.n > limit:
-        raise GroundSetTooLargeForEnumeration(f"antichain audit is gated to n <= {limit}")
-    family = _nonempty_efficient(sys, k)
-    ufs = _enumerate_ultrafilters(sys, k)
-    members_set = set(family)
-    maximal = []
-    for idx_tuple in _all_antichains(family):
-        if not idx_tuple:
-            continue
-        chosen = [family[i] for i in idx_tuple]
-        extendable = any(
-            m not in chosen
-            and all(m & ~c and c & ~m for c in chosen)
-            for m in members_set
-        )
-        if not extendable:
-            maximal.append(tuple(chosen))
-    for antichain in maximal:
-        for uf in ufs:
-            if not any(a in uf.members for a in antichain):
-                return AuditReport(
-                    "T3.5-antichain-meets-ultrafilter",
-                    inst,
-                    "counterexample_found",
-                    (antichain, _family_witness(uf)),
-                    "maximal antichain disjoint from an ultrafilter",
-                )
+def _audit_t35(level: _Level) -> AuditReport:
+    """T3.5: every maximal antichain of non-empty k-efficient sets meets every ultrafilter of order k+1.
+
+    The minimal non-empty efficient sets M form a maximal antichain. An
+    ultrafilter U is up-closed among the efficient sets (Q2), so when U holds
+    some m in M, every maximal antichain meets U: one of its members is
+    comparable with m, so it is m or an efficient superset of m. The
+    statement therefore fails exactly when some U holds no member of M, and
+    the witness is (M, U) for the first such U enumerated.
+    """
+    minimal: list[int] = []
+    for m in _nonempty_efficient(level.sys, level.k):  # ascending, so every subset of m comes first
+        if not any(b & ~m == 0 for b in minimal):
+            minimal.append(m)
+    ufs = level.ultrafilters
+    for uf in ufs:
+        if uf.members.isdisjoint(minimal):
+            return AuditReport(
+                "T3.5-antichain-meets-ultrafilter",
+                level.instance,
+                "counterexample_found",
+                (make_antichain(level.sys, minimal, level.k).sets, _family_witness(uf)),
+                "maximal antichain disjoint from an ultrafilter",
+            )
     return AuditReport(
         "T3.5-antichain-meets-ultrafilter",
-        inst,
+        level.instance,
         "verified_at_scale",
         (),
-        f"{len(maximal)} maximal antichains x {len(ufs)} ultrafilters",
+        f"{len(ufs)} ultrafilters x {len(minimal)} minimal efficient sets",
     )
 
 
-def _audit_t36(sys, k) -> AuditReport:
+def _audit_t36(level: _Level) -> AuditReport:
     """T3.6 as formalised: each chain of k-efficient sets meets each ultrafilter of order k+1 exactly once.
 
     The chain (empty set,) meets no ultrafilter, since none holds the empty
     set (Q3), so the statement fails exactly when such an ultrafilter exists;
     the first one enumerated is the witness.
     """
-    inst = _instance_summary(sys, k)
-    ufs = _enumerate_ultrafilters(sys, k, limit=1)
+    ufs = level.ultrafilters
     if ufs:
         return AuditReport(
             "T3.6-exactly-one",
-            inst,
+            level.instance,
             "counterexample_found",
             ((0,), _family_witness(ufs[0])),
             "chain has 0 members in the ultrafilter, not exactly one",
         )
-    return AuditReport("T3.6-exactly-one", inst, "verified_at_scale")
+    return AuditReport("T3.6-exactly-one", level.instance, "verified_at_scale")
 
 
-def _audit_t38(sys, k) -> AuditReport:
+def _audit_t38(level: _Level) -> AuditReport:
     """T3.8 as formalised: no set with f = k is a member of an ultrafilter of order k.
 
     Every member of such an ultrafilter has f <= k-1 (Q0), so the statement
     holds at every k >= 1 without enumeration; at k = 0 there is no
     ultrafilter of order 0 to test.
     """
-    detail = "vacuous: no ultrafilter of order 0 is representable" if k == 0 else ""
-    return AuditReport("T3.8-maximal-set-exclusion", _instance_summary(sys, k), "verified_at_scale", (), detail)
+    detail = "vacuous: no ultrafilter of order 0 is representable" if level.k == 0 else ""
+    return AuditReport("T3.8-maximal-set-exclusion", level.instance, "verified_at_scale", (), detail)
 
 
-def _audit_t39(sys, k) -> AuditReport:
+def _audit_t39(level: _Level) -> AuditReport:
     """T3.9 as formalised: if no chain of order k+1 exists, no ultrafilter of order k+1 does.
 
     The empty set alone is a chain of order k+1 at every k >= 0, so the
@@ -391,73 +380,66 @@ def _audit_t39(sys, k) -> AuditReport:
     """
     return AuditReport(
         "T3.9-no-chain-no-ultrafilter",
-        _instance_summary(sys, k),
+        level.instance,
         "verified_at_scale",
         (),
         "vacuous: a chain of order k+1 always exists (the empty set alone)",
     )
 
 
-def _audit_tsc_no_antichain(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
-    seq = find_sequence_chain(sys, k)
+def _audit_tsc_no_antichain(level: _Level) -> AuditReport:
+    seq = level.sequence_chain
     if seq is None:
         return AuditReport(
-            "TSC-no-antichain", inst, "verified_at_scale", (), "no sequence chain exists"
+            "TSC-no-antichain", level.instance, "verified_at_scale", (), "no sequence chain exists"
         )
-    antichain = find_max_antichain(sys, k)
+    antichain = find_max_antichain(level.sys, level.k)
     if len(antichain.sets) >= 2:
         return AuditReport(
             "TSC-no-antichain",
-            inst,
+            level.instance,
             "counterexample_found",
             (seq.sets, antichain.sets),
             "a sequence chain and an antichain coexist",
         )
-    return AuditReport("TSC-no-antichain", inst, "verified_at_scale", (seq.sets,))
+    return AuditReport("TSC-no-antichain", level.instance, "verified_at_scale", (seq.sets,))
 
 
-def _audit_tsc_no_nonprincipal(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
-    seq = find_sequence_chain(sys, k)
+def _audit_tsc_no_nonprincipal(level: _Level) -> AuditReport:
+    seq = level.sequence_chain
     if seq is None:
         return AuditReport(
-            "TSC-no-nonprincipal-ultrafilter",
-            inst,
-            "verified_at_scale",
-            (),
-            "no sequence chain exists",
+            "TSC-no-nonprincipal-ultrafilter", level.instance, "verified_at_scale", (), "no sequence chain exists"
         )
-    found = _enumerate_ultrafilters(sys, k, non_principal_only=True, limit=1)
+    found = level.non_principal
     if found:
         return AuditReport(
             "TSC-no-nonprincipal-ultrafilter",
-            inst,
+            level.instance,
             "counterexample_found",
             (seq.sets, _family_witness(found[0])),
             "a sequence chain and a non-principal ultrafilter coexist",
         )
-    return AuditReport("TSC-no-nonprincipal-ultrafilter", inst, "verified_at_scale", (seq.sets,))
+    return AuditReport("TSC-no-nonprincipal-ultrafilter", level.instance, "verified_at_scale", (seq.sets,))
 
 
-def _audit_tsc_decomposition(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
-    seq = find_sequence_chain(sys, k)
+def _audit_tsc_decomposition(level: _Level) -> AuditReport:
+    seq = level.sequence_chain
     if seq is None:
         return AuditReport(
-            "TSC-decomposition", inst, "verified_at_scale", (), "no sequence chain exists"
+            "TSC-decomposition", level.instance, "verified_at_scale", (), "no sequence chain exists"
         )
-    result = branch_width(sys)
-    if result.width <= k:
+    result = branch_width(level.sys)
+    if result.width <= level.k:
         return AuditReport(
-            "TSC-decomposition", inst, "verified_at_scale", (seq.sets,), f"width {result.width}"
+            "TSC-decomposition", level.instance, "verified_at_scale", (seq.sets,), f"width {result.width}"
         )
     return AuditReport(
         "TSC-decomposition",
-        inst,
+        level.instance,
         "counterexample_found",
         (seq.sets,),
-        f"sequence chain exists but branch-width is {result.width} > {k}",
+        f"sequence chain exists but branch-width is {result.width} > {level.k}",
     )
 
 
@@ -472,13 +454,13 @@ _EQUIVALENCE_SUBCHECKS = (
 )
 
 
-def _audit_t232(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
-    ufs = _enumerate_ultrafilters(sys, k, non_principal_only=True)
+def _audit_t232(level: _Level) -> AuditReport:
+    sys = level.sys
+    ufs = level.non_principal
     if not ufs:
         return AuditReport(
             "T2.32-equivalence-list",
-            inst,
+            level.instance,
             "verified_at_scale",
             (),
             "vacuous: no non-principal ultrafilter exists",
@@ -498,22 +480,22 @@ def _audit_t232(sys, k) -> AuditReport:
             if not verdict.holds:
                 return AuditReport(
                     "T2.32-equivalence-list",
-                    inst,
+                    level.instance,
                     "counterexample_found",
                     (_family_witness(uf), name, verdict.violated_axiom),
                     f"non-principal ultrafilter fails {name} via {verdict.violated_axiom}",
                 )
     return AuditReport(
         "T2.32-equivalence-list",
-        inst,
+        level.instance,
         "verified_at_scale",
         (),
         f"{len(ufs)} non-principal ultrafilters x {len(_EQUIVALENCE_SUBCHECKS)} kinds",
     )
 
 
-def _audit_co_tangle_filter(sys, k) -> AuditReport:
-    inst = _instance_summary(sys, k)
+def _audit_co_tangle_filter(level: _Level) -> AuditReport:
+    sys, k = level.sys, level.k
     keff = enumerate_k_efficient(sys, k)
     if len(keff) > 16:
         raise GroundSetTooLargeForEnumeration(
@@ -529,12 +511,12 @@ def _audit_co_tangle_filter(sys, k) -> AuditReport:
         if not verdict.holds:
             return AuditReport(
                 "co-tangle-filter",
-                inst,
+                level.instance,
                 "counterexample_found",
                 (_family_witness(fam), verdict.violated_axiom),
                 f"a filter whose complement fails {verdict.violated_axiom}",
             )
-    return AuditReport("co-tangle-filter", inst, "verified_at_scale")
+    return AuditReport("co-tangle-filter", level.instance, "verified_at_scale")
 
 
 _AUDITS = {
@@ -554,11 +536,16 @@ FAMILY_THEOREMS = THEOREM_IDS[7:]
 
 
 def run_theorem_audit(sys: ConnectivitySystem, k: int, theorems=None) -> list[AuditReport]:
-    """Audit the selected statements on one instance; reports in fixed id order."""
+    """Audit the selected statements on one instance; reports in fixed id order.
+
+    The audits of one call share one ultrafilter enumeration and one
+    sequence chain, each computed only if a selected audit reads it.
+    """
     selected = THEOREM_IDS if theorems is None else tuple(theorems)
     for tid in selected:
         if tid not in _AUDITS:
             raise InvalidParameter(f"unknown theorem id {tid!r}")
     if k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")
-    return [_AUDITS[tid](sys, k) for tid in THEOREM_IDS if tid in selected]
+    level = _Level(sys, k)
+    return [_AUDITS[tid](level) for tid in THEOREM_IDS if tid in selected]

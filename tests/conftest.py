@@ -44,6 +44,25 @@ def seeded_cut_systems():
     return systems
 
 
+def random_cut_systems(seed, count, max_n):
+    """Seeded vertex- and edge-cut systems of random graphs with n = 1..max_n."""
+    rng = random.Random(seed)
+    systems = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        if rng.random() < 0.5:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            systems.append(ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges))
+        else:
+            vertices = next(v for v in range(2, 9) if v * (v - 1) // 2 >= n)
+            vertices = rng.randint(vertices, vertices + 2)
+            pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
+            edges = sorted(rng.sample(pairs, n))
+            systems.append(ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], vertices, edges))
+    return systems
+
+
 @pytest.fixture(scope="session")
 def trivial1():
     return ConnectivitySystem.from_table(["x"], {0: 0, 1: 0})

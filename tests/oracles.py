@@ -500,3 +500,48 @@ def oracle_t38(values, k, ultrafilters):
             if top in uf:
                 return top, uf
     return None
+
+
+def oracle_t35(values, k, ultrafilters):
+    """T3.5 by brute force: the first maximal antichain of non-empty k-efficient sets, in
+    depth-first order over ascending masks, and the first ultrafilter of order k+1 (given as
+    member sets, in order) that it misses, as (antichain, ultrafilter), or None."""
+    family = [m for m in range(1, len(values)) if values[m] <= k]
+
+    def incomparable(a, b):
+        return a & ~b and b & ~a
+
+    def antichains(start, chosen):
+        yield tuple(chosen)
+        for i in range(start, len(family)):
+            if all(incomparable(family[i], c) for c in chosen):
+                chosen.append(family[i])
+                yield from antichains(i + 1, chosen)
+                chosen.pop()
+
+    for antichain in antichains(0, []):
+        if not antichain:
+            continue
+        if any(m not in antichain and all(incomparable(m, c) for c in antichain) for m in family):
+            continue  # not maximal
+        for uf in ultrafilters:
+            if not any(a in uf for a in antichain):
+                return antichain, uf
+    return None
+
+
+def oracle_ultrafilter_number(values, n, k, ultrafilters):
+    """The ultrafilter number by the unique-minimal-member route, as (u, generator) or
+    (None, None): the first non-principal ultrafilter of order k+1 (given as member sets, in
+    order) with exactly one minimal member, whose k-efficient supersets are exactly the
+    ultrafilter, is generated by that member alone."""
+    for uf in ultrafilters:
+        if any(bits(m) == 1 for m in uf):
+            continue
+        minimal = [m for m in uf if not any(o != m and o & ~m == 0 for o in uf)]
+        if len(minimal) != 1:
+            continue
+        up = {c for c in range(1 << n) if values[c] <= k and minimal[0] & ~c == 0}
+        if up == set(uf):
+            return 1, minimal[0]
+    return None, None

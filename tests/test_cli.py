@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -236,6 +238,27 @@ def test_ultrafilter_number_command(files, capsys):
     assert report["result"]["u"] is None
 
 
+def seeded_cut(kind, n, edge_count, seed):
+    """A graph_vertex_cut instance on n vertices, or a graph_edge_cut one with n edges, from a seeded sample."""
+    rng = random.Random(seed)
+    vertices = n if kind == "vertex" else next(v for v in range(2, n + 2) if v * (v - 1) // 2 >= edge_count)
+    edges = rng.sample(list(combinations(range(vertices), 2)), edge_count)
+    prefix = "v" if kind == "vertex" else "e"
+    return {
+        "ground_set": [f"{prefix}{i}" for i in range(n)],
+        "function": {"type": f"graph_{kind}_cut", "vertices": vertices, "edges": [list(e) for e in sorted(edges)]},
+    }
+
+
+def test_ultrafilter_number_runs_at_the_ground_set_cap(files, capsys, monkeypatch):
+    monkeypatch.delenv("CONNSYS_MAX_N", raising=False)
+    inst = files("v20.json", seeded_cut("vertex", 20, 60, 20))
+    max_f = load_instance(inst).max_value
+    for k, u in ((0, 1), (max_f, None)):  # X is the one class at k = 0; every singleton is efficient at max f
+        code, report, err = run(capsys, "ultrafilter-number", inst, "-k", str(k))
+        assert (code, err, report["result"]["u"]) == (0, "", u)
+
+
 def test_unknown_label_exit2(files, capsys):
     inst = files("c4.json", C4_EDGES)
     fam = files("bad-fam.json", {"k": 1, "sets": [["zz"]]})
@@ -417,14 +440,13 @@ def path_vertex_cut(n):
     }
 
 
-ANTICHAIN_GATE = "GroundSetTooLargeForEnumeration: antichain audit is gated to n <= 5"
 CO_TANGLE_GATE = "GroundSetTooLargeForEnumeration: filter brute force is gated to at most 16 efficient sets"
 
 
 @pytest.mark.parametrize(
     "n, theorems, k_range, gated",
     [
-        (6, "all", "0..2", {0: ANTICHAIN_GATE, 1: ANTICHAIN_GATE, 2: ANTICHAIN_GATE}),
+        (6, "all", "0..2", {2: CO_TANGLE_GATE}),
         (6, "families", "0..2", {2: CO_TANGLE_GATE}),
         (5, "all", "0..4", {2: CO_TANGLE_GATE, 3: CO_TANGLE_GATE, 4: CO_TANGLE_GATE}),
     ],
@@ -467,6 +489,39 @@ def test_audit_runs_each_width_dp_once(files, capsys, monkeypatch):
     assert len(report["result"]["audits"]) == max_f + 1
     assert all("gated" not in entry for entry in report["result"]["audits"])
     assert calls == {"branch": 1, "linear": 1}
+
+
+def test_audit_enumerates_the_ultrafilters_once_per_k(files, capsys, monkeypatch):
+    from connsys import orders
+
+    requests = []
+    enumerate_families = orders.enumerate_families
+
+    def counted(sys, req):
+        requests.append(req)
+        return enumerate_families(sys, req)
+
+    monkeypatch.setattr(orders, "enumerate_families", counted)
+    inst = files("c4.json", C4_EDGES)
+    code, report, err = run(capsys, "audit", inst, "--theorems", "all", "-k", "1")
+    assert code in (0, 1) and err == ""
+    details = {t["theorem"]: t["detail"] for t in report["result"]["audits"][0]["theorems"]}
+    # T3.5, T3.6 and T2.32 all read the list, which holds a non-principal ultrafilter here
+    assert details["T2.32-equivalence-list"] == "1 non-principal ultrafilters x 7 kinds"
+    assert [(r.kind, r.k, r.non_principal_only, r.limit) for r in requests] == [("ultrafilter", 1, False, None)]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_chain_audits_and_dilworth_run_at_the_enumeration_gate(files, capsys, kind, n):
+    inst = files(f"{kind}{n}.json", seeded_cut(kind, n, 2 * n if kind == "vertex" else n, n))
+    max_f = load_instance(inst).max_value
+    code, report, err = run(capsys, "audit", inst, "--theorems", "chains", "--k-range", f"0..{max_f}")
+    assert code in (0, 1) and err == ""
+    assert all("gated" not in entry for entry in report["result"]["audits"])
+    code, report, err = run(capsys, "dilworth", inst, "-k", str(max_f))
+    assert code in (0, 1) and err == ""
+    assert report["result"]["family_size"] == 2**n - 1
 
 
 def test_main_reuses_its_parser_across_calls(files, capsys):

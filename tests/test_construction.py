@@ -27,12 +27,13 @@ from connsys.errors import (
     NotAFilter,
 )
 
-from .conftest import all_three_element_systems
+from .conftest import all_three_element_systems, random_cut_systems
 from .oracles import (
     oracle_closure,
     oracle_family_holds,
     oracle_generate_from_subbase,
     oracle_greedy_ultrafilter,
+    oracle_ultrafilter_number,
 )
 
 
@@ -389,6 +390,29 @@ class TestUltrafilterNumber:
                     if best is not None:
                         break
                 assert got.u == best
+
+    def test_matches_the_unique_minimal_member_route(self):
+        """The closed form agrees with the route through the enumerated ultrafilters, at every k."""
+        systems = random_cut_systems(4242, 200, 6)
+        assert {sys.n for sys in systems} == set(range(1, 7))
+        levels = generated = 0
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
+                want = oracle_ultrafilter_number(sys.values, sys.n, k, [uf.members for uf in ufs])
+                got = ultrafilter_number(sys, k)
+                witness = got.witness_prefilter
+                assert (got.u, witness.members if witness else None) == (
+                    want[0],
+                    None if want[1] is None else frozenset([want[1]]),
+                ), (sys.spec_payload, k)
+                levels += 1
+                generated += got.u == 1
+        assert (levels, generated) == (879, 264)
+
+    def test_negative_bound_rejected(self, c4_edge):
+        with pytest.raises(InvalidParameter, match="^the efficiency bound must be non-negative$"):
+            ultrafilter_number(c4_edge, -1)
 
 
 @pytest.mark.parametrize("graph", ["K6", "Petersen"])

@@ -1,4 +1,4 @@
-import random
+from itertools import combinations
 
 import pytest
 
@@ -29,8 +29,15 @@ from connsys.errors import (
 )
 from connsys.orders import THEOREM_IDS
 
-from .conftest import all_three_element_systems
-from .oracles import oracle_all_chains, oracle_k_efficient, oracle_sequence_chain, oracle_t36, oracle_t38
+from .conftest import all_three_element_systems, random_cut_systems
+from .oracles import (
+    oracle_all_chains,
+    oracle_k_efficient,
+    oracle_sequence_chain,
+    oracle_t35,
+    oracle_t36,
+    oracle_t38,
+)
 
 
 class TestChainTypes:
@@ -221,31 +228,54 @@ class TestTheoremAudits:
                 assert report.status in ("verified_at_scale", "counterexample_found")
 
 
-def random_cut_systems(seed, count, max_n):
-    """Seeded vertex- and edge-cut systems of random graphs with n = 1..max_n."""
-    rng = random.Random(seed)
-    systems = []
-    for _ in range(count):
-        n = rng.randint(1, max_n)
-        if rng.random() < 0.5:
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
-            systems.append(ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges))
-        else:
-            vertices = next(v for v in range(2, 9) if v * (v - 1) // 2 >= n)
-            vertices = rng.randint(vertices, vertices + 2)
-            pairs = [(u, v) for u in range(vertices) for v in range(u + 1, vertices)]
-            edges = sorted(rng.sample(pairs, n))
-            systems.append(ConnectivitySystem.from_edge_cut([f"e{i}" for i in range(n)], vertices, edges))
-    return systems
-
-
 class TestClosedFormAudits:
-    """T3.6, T3.8 and T3.9 are decided from the axioms; the brute forces are the oracles."""
+    """T3.5, T3.6, T3.8 and T3.9 are decided from the axioms; the brute forces are the oracles."""
 
     @pytest.fixture(scope="class")
     def systems(self):
         return random_cut_systems(80612, 40, 5)
+
+    def test_t35_matches_the_brute_force(self, systems):
+        refuted = 0
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
+                report = run_theorem_audit(sys, k, ["T3.5-antichain-meets-ultrafilter"])[0]
+                found = oracle_t35(sys.values, k, [uf.members for uf in ufs])
+                if found is None:
+                    assert (report.status, report.witness) == ("verified_at_scale", ())
+                    continue
+                refuted += 1
+                assert report.status == "counterexample_found"
+                antichain, uf = report.witness
+                family = [m for m in oracle_k_efficient(sys.values, k) if m]
+                assert set(antichain) <= set(family)
+                assert all(a & ~b and b & ~a for a, b in combinations(antichain, 2))
+                assert all(any(not (a & ~m and m & ~a) for a in antichain) for m in family), "not maximal"
+                assert check_family(sys, SetFamily.of(uf, k, sys.n), "ultrafilter").holds
+                assert not set(antichain) & set(uf)
+        assert refuted > 0
+
+    def test_non_principal_audits_read_the_non_principal_search(self, systems):
+        """TSC-no-nonprincipal-ultrafilter and T2.32 see what a non_principal_only search returns, in its order."""
+        levels = 0
+        for sys in systems:
+            for k in range(sys.max_value + 2):
+                found = enumerate_families(sys, EnumerationRequest("ultrafilter", k, non_principal_only=True))
+                witnesses = [tuple(sorted(uf.members)) for uf in found]
+                tsc, t232 = run_theorem_audit(sys, k, ["TSC-no-nonprincipal-ultrafilter", "T2.32-equivalence-list"])
+                if tsc.status == "counterexample_found":
+                    assert tsc.witness[1] == witnesses[0]
+                elif tsc.witness:  # a sequence chain exists
+                    assert not found
+                if t232.status == "counterexample_found":
+                    assert t232.witness[0] in witnesses
+                elif found:
+                    assert t232.detail == f"{len(found)} non-principal ultrafilters x 7 kinds"
+                else:
+                    assert t232.detail == "vacuous: no non-principal ultrafilter exists"
+                levels += bool(found)
+        assert levels > 0
 
     def test_t36_matches_the_brute_force(self, systems):
         for sys in systems:

@@ -1,6 +1,7 @@
 """Checks on the test suite's own structure and on the names the benchmark relies on."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +51,23 @@ def test_self_checks_raise_internal_error():
                 if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                     offending.append(f"{path.name}:{node.lineno}")
     assert not offending, f"raise InternalError instead of RuntimeError at {offending}"
+
+
+def test_readme_lists_exactly_the_size_gates():
+    """README's gate table names every constant that src/connsys passes to gate_limit, with its value."""
+    constants, gated = {}, set()
+    for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                constants.update((t.id, node.value.value) for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "gate_limit":
+                (arg,) = node.args
+                assert isinstance(arg, ast.Name), f"{path.name}:{node.lineno} passes gate_limit a non-constant"
+                gated.add(arg.id)
+    documented = {
+        name: int(value)
+        for name, value in re.findall(r"^\| `([A-Z_]+)` \| (\d+) \|", (ROOT / "README.md").read_text(), re.M)
+    }
+    assert documented == {name: constants[name] for name in gated}
