@@ -16,7 +16,7 @@ from .errors import (
     InvalidParameter,
     NotAFilter,
 )
-from .families import SetFamily, _intersection_values, check_family
+from .families import SetFamily, _intersection_values, _subset_transform, check_family
 
 ENUMERATION_MAX_N = 8
 OPERATION_BUDGET_FACTOR = 64
@@ -445,15 +445,11 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     values = _intersection_values(subbase.sorted_members())
     if 0 in values:
         raise EmptyIntersection(values[0])
-    k, f = subbase.k, sys.values
-    cores = frozenset(v for v in values if f[v] <= k)
-    generated = _up_closure(sys, SetFamily(cores, k, sys.n))
-    ordered = generated.sorted_members()
-    for i, a in enumerate(ordered):
-        for b in ordered[i:]:
-            u = a & b
-            if f[u] <= k and u not in generated.members:
-                raise EfficiencyEscape(a, b, u)
+    cores = frozenset(v for v in values if sys.f(v) <= subbase.k)
+    generated = _up_closure(sys, SetFamily(cores, subbase.k, sys.n))
+    verdict = check_family(sys, generated, "pi_system")  # non-empty: it holds the subbase
+    if not verdict.holds:
+        raise EfficiencyEscape(*verdict.witnesses)
     return generated
 
 
@@ -491,8 +487,10 @@ def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResu
 
 
 def _up_closure(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
-    keff = enumerate_k_efficient(sys, fam.k)
-    members = {c for c in keff if any(b & ~c == 0 for b in fam.members)}
+    """The k-efficient supersets of the members."""
+    marked = np.zeros(1 << sys.n, dtype=bool)
+    marked[list(fam.members)] = True
+    members = np.flatnonzero(_subset_transform(marked, sys.n) & (sys.array <= fam.k)).tolist()
     return SetFamily(frozenset(members), fam.k, sys.n)
 
 

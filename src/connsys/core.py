@@ -4,10 +4,10 @@ Subsets are plain ints: bit i set means element i of the ground set is in.
 Function values are built and validated as one numpy array indexed by mask,
 with whole-array operations in place of loops over the masks. A system
 stores one form of f: the validated array, read-only and in the narrowest
-unsigned dtype that holds max f, which scans over all subsets (such as the
-k-efficient index) and single lookups read. The loops that look up many
-entries one at a time read ``values``, a tuple of 2^n Python ints derived
-from the array on first use.
+unsigned dtype that holds max f. Scans over all subsets (such as the
+k-efficient index) read it whole, single lookups read one entry, and the
+width DPs, which look up every entry many times, copy it to a list that
+lives only while they run.
 """
 
 from __future__ import annotations
@@ -309,39 +309,19 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
     return {"mode": "exhaustive", "pairs": 4**n}
 
 
-class _stored_on_first_use:
-    """Like functools.cached_property, but stores the value with object.__setattr__.
-
-    cached_property writes to the instance ``__dict__``, which on CPython
-    moves every attribute of the instance off the fast lookup path; a plain
-    attribute store keeps them on it.
-    """
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.fn(obj)
-        object.__setattr__(obj, self.fn.__name__, value)
-        return value
-
-
 @dataclass(frozen=True, eq=False)
 class ConnectivitySystem:
     """A ground set with a total, validated symmetric submodular function.
 
     Immutable after construction. It stores f in one form: ``array``, the
     validated values indexed by mask, read-only and in the narrowest unsigned
-    dtype that holds max f. ``f(mask)`` reads one value from it. ``values``
-    is the same function as a tuple of Python ints, built on first access and
-    cached, for loops that look up many entries one at a time. Equality and
-    hashing use the ground set, ``spec_kind`` and the array's bytes.
-    ``widths`` memoises the verified width results by mode (``"branch"``,
-    ``"linear"``), which depend on the function alone; it takes no part in
-    equality or hashing. Concurrent readers may each compute the tuple or a
-    width once, and store equal results.
+    dtype that holds max f. ``f(mask)`` reads one value from it; ``values``
+    builds the whole function as a tuple of Python ints on each access and
+    keeps nothing. Equality and hashing use the ground set, ``spec_kind`` and
+    the array's bytes. ``widths`` memoises the verified width results by mode
+    (``"branch"``, ``"linear"``), which depend on the function alone; it
+    takes no part in equality or hashing. Concurrent readers may each
+    compute a width once, and store equal results.
     """
 
     ground: GroundSet
@@ -362,7 +342,7 @@ class ConnectivitySystem:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    @_stored_on_first_use
+    @property
     def values(self) -> tuple[int, ...]:
         return tuple(self.array.tolist())
 

@@ -137,7 +137,7 @@ def decomposition_width(sys: ConnectivitySystem, d: BranchDecomposition) -> int:
     d.validate()
     if sys.n == 1:
         return 0
-    return max(sys.values[mask] for mask in d.edge_sides())
+    return max(sys.f(mask) for mask in d.edge_sides())
 
 
 def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
@@ -146,10 +146,10 @@ def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
     best = 0
     prefix = 0
     for i, e in enumerate(ordering.order):
-        best = max(best, sys.values[1 << e])
+        best = max(best, sys.f(1 << e))
         prefix |= 1 << e
         if i < sys.n - 1:
-            best = max(best, sys.values[prefix])
+            best = max(best, sys.f(prefix))
     return best
 
 
@@ -187,9 +187,9 @@ def _branch_width_dp(sys: ConnectivitySystem) -> WidthResult:
         return WidthResult(0, BranchDecomposition(1, (), (0,)))
     if n == 2:
         cert = BranchDecomposition(2, ((0, 1),), (0, 1))
-        return WidthResult(sys.values[1], cert)
+        return WidthResult(sys.f(1), cert)
     root = (1 << (n - 1)) - 1
-    h = list(sys.values[: root + 1])
+    h = sys.array[: root + 1].tolist()
     split = [0] * (root + 1)
     top = sys.max_value + 1  # above every h value, so each set takes its first split
     for s in range(3, root + 1):
@@ -249,7 +249,7 @@ def linear_width(sys: ConnectivitySystem) -> WidthResult:
 
 def _linear_width_dp(sys: ConnectivitySystem) -> WidthResult:
     n = sys.n
-    f = sys.values
+    f = sys.array.tolist()
     full = sys.full_mask
     h = [0] * (full + 1)  # h(X) = 0: the full set is no proper prefix
     for p in range(full - 1, -1, -1):
@@ -315,7 +315,7 @@ def chain_to_decomposition(
         order.append(added.bit_length() - 1)
     if k is not None:
         for mask in sets:
-            if sys.values[mask] > k:
-                raise NotASequenceChain(f"member {mask:#x} has f = {sys.values[mask]} > {k}")
+            if sys.f(mask) > k:
+                raise NotASequenceChain(f"member {mask:#x} has f = {sys.f(mask)} > {k}")
     ordering = LinearOrdering(tuple(order))
     return WidthResult(ordering_width(sys, ordering), ordering)

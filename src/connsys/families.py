@@ -170,7 +170,7 @@ class _Ctx:
         self.arrays = None
         if len(fam.members) >= ARRAY_MIN_MEMBERS:
             self.arrays = _Arrays(sys.array <= fam.k, self.sorted, sys.n)
-        self.values = None  # sys.values, fetched by the first eff() call: families decided on arrays never build it
+        self.f = sys.array.data  # indexing the buffer gives Python ints, without numpy's per-item call
 
     @cached_property
     def keff(self) -> list[int]:
@@ -178,9 +178,7 @@ class _Ctx:
         return enumerate_k_efficient(self.sys, self.k)
 
     def eff(self, mask: int) -> bool:
-        if self.values is None:
-            self.values = self.sys.values
-        return self.values[mask] <= self.k
+        return self.f[mask] <= self.k
 
 
 def _ax_nonempty(c: _Ctx):
@@ -304,8 +302,8 @@ def _ax_p4(c: _Ctx):
     return None
 
 
-def _ax_l1(c: _Ctx):
-    if c.full not in c.members or not c.eff(c.full):
+def _ax_has_full(c: _Ctx):
+    if c.full not in c.members:
         return (c.full,)
     return None
 
@@ -352,12 +350,6 @@ def _ax_suf3(c: _Ctx):
     return None
 
 
-def _ax_sif1(c: _Ctx):
-    if c.full not in c.members:
-        return (c.full,)
-    return None
-
-
 def _intersection_values(members: list[int]) -> dict[int, tuple[int, int]]:
     """All intersections of non-empty sub-collections, with one generating pair each."""
     values = {m: (m, m) for m in members}
@@ -383,12 +375,6 @@ def _ax_sif3(c: _Ctx):
     return None
 
 
-def _ax_cl2(c: _Ctx):
-    if c.full not in c.members:
-        return (c.full,)
-    return None
-
-
 def _ax_uc1(c: _Ctx):
     for i, a in enumerate(c.sorted):
         for b in c.sorted[i:]:
@@ -398,12 +384,14 @@ def _ax_uc1(c: _Ctx):
     return None
 
 
-def _ax_uc2(c: _Ctx):
-    if 0 not in c.members:
-        return (0,)
-    if c.full not in c.members:
-        return (c.full,)
-    return None
+def _submasks(mask: int):
+    """The submasks of mask, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def _ax_in1(c: _Ctx):
@@ -412,16 +400,15 @@ def _ax_in1(c: _Ctx):
     return None
 
 
+def _ax_uc2(c: _Ctx):
+    return _ax_in1(c) or _ax_has_full(c)
+
+
 def _ax_in2(c: _Ctx):
     for a in c.sorted:
-        # iterate submasks of a, ascending
-        sub = 0
-        while True:
+        for sub in _submasks(a):
             if c.eff(sub) and sub not in c.members:
                 return (a, sub)
-            if sub == a:
-                break
-            sub = (sub - a) & a
     return None
 
 
@@ -431,15 +418,6 @@ def _ax_ma2(c: _Ctx):
             if a & b == 0 and b != c.full ^ a:
                 return (a, b)
     return None
-
-
-def _submasks(mask: int):
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 def _ax_ma3(c: _Ctx):
@@ -480,10 +458,10 @@ _AXIOMS = {
         ("SB4", _ax_p4),
     ],
     "pi_system": [("PI1", _ax_nonempty), ("PI2", _ax_q1)],
-    "lambda_system": [("L1", _ax_l1), ("L2", _ax_l2), ("L3", _ax_l3)],
+    "lambda_system": [("L1", _ax_has_full), ("L2", _ax_l2), ("L3", _ax_l3)],
     "superfilter": [("SUF1", _ax_q0), ("SUF2", _ax_q2), ("SUF3", _ax_suf3)],
-    "sigma_filter": [("SIF1", _ax_sif1), ("SIF2", _ax_q2), ("SIF3", _ax_sif3)],
-    "closure_system": [("CL1", _ax_q1), ("CL2", _ax_cl2)],
+    "sigma_filter": [("SIF1", _ax_has_full), ("SIF2", _ax_q2), ("SIF3", _ax_sif3)],
+    "closure_system": [("CL1", _ax_q1), ("CL2", _ax_has_full)],
     "union_closed_system": [("UC1", _ax_uc1), ("UC2", _ax_uc2)],
     "independence_system": [("IN1", _ax_in1), ("IN2", _ax_in2)],
     "majority_system": [("MA1", _ax_q4), ("MA2", _ax_ma2), ("MA3", _ax_ma3)],

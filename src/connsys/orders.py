@@ -24,6 +24,7 @@ from .errors import (
     EfficiencyViolation,
     ElementAbsent,
     ElementAlreadyPresent,
+    GroundSetMismatch,
     GroundSetTooLargeForEnumeration,
     InternalError,
     InvalidParameter,
@@ -71,8 +72,20 @@ class AuditReport:
     detail: str = ""
 
 
+def _check_masks(sys: ConnectivitySystem, masks) -> None:
+    for mask in masks:
+        if not 0 <= mask <= sys.full_mask:
+            raise GroundSetMismatch(f"subset mask {mask:#x} outside an {sys.n}-element ground set")
+
+
+def _check_element(sys: ConnectivitySystem, element: int) -> None:
+    if not 0 <= element < sys.n:
+        raise GroundSetMismatch(f"element {element} outside an {sys.n}-element ground set")
+
+
 def make_chain(sys: ConnectivitySystem, sets, k: int) -> Chain:
     sets = tuple(sets)
+    _check_masks(sys, sets)
     for prev, cur in zip(sets, sets[1:]):
         if prev == cur:
             raise ChainOrderBroken(f"duplicate member {cur:#x}")
@@ -86,6 +99,7 @@ def make_chain(sys: ConnectivitySystem, sets, k: int) -> Chain:
 
 def make_antichain(sys: ConnectivitySystem, sets, k: int) -> Antichain:
     sets = tuple(sorted(sets))
+    _check_masks(sys, sets)
     for i, a in enumerate(sets):
         for b in sets[i + 1 :]:
             if a & ~b == 0 or b & ~a == 0:
@@ -133,6 +147,7 @@ def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[
     if sys.n > limit:
         raise GroundSetTooLargeForEnumeration(f"chain cover is gated to n <= {limit}")
     family = sorted(set(family))
+    _check_masks(sys, family)
     for mask in family:
         if sys.f(mask) > k:
             raise NotKEfficient(mask)
@@ -186,6 +201,7 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
 def brute_force_min_cover_size(sys: ConnectivitySystem, family: list[int], k: int) -> int:
     """Minimum chain-cover size by direct search; the second, independent route."""
     family = sorted(set(family), key=lambda m: (popcount(m), m))
+    _check_masks(sys, family)
     for mask in family:
         if sys.f(mask) > k:
             raise NotKEfficient(mask)
@@ -262,6 +278,7 @@ def find_sequence_chain(sys: ConnectivitySystem, k: int) -> Chain | None:
 
 def chain_extend_single(sys: ConnectivitySystem, chain: Chain, element: int) -> Chain:
     """Append the top set plus one new element."""
+    _check_element(sys, element)
     top = chain.sets[-1] if chain.sets else 0
     bit = 1 << element
     if top & bit:
@@ -277,6 +294,7 @@ def chain_delete_single(sys: ConnectivitySystem, chain: Chain, index: int, eleme
     sets = list(chain.sets)
     if not 0 <= index < len(sets):
         raise ChainOrderBroken(f"no chain member at index {index}")
+    _check_element(sys, element)
     bit = 1 << element
     if not sets[index] & bit:
         raise ElementAbsent(f"element {element} not in the set at index {index}")

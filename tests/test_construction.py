@@ -1,5 +1,8 @@
 import random
 from collections import Counter
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import pytest
 
@@ -21,6 +24,7 @@ from connsys import (
 from connsys.construction import _IN, _OUT, _PairSearch, _TangleSearch
 from connsys.core import enumerate_k_efficient
 from connsys.errors import (
+    EfficiencyEscape,
     EmptyIntersection,
     GroundSetTooLargeForEnumeration,
     InvalidParameter,
@@ -329,8 +333,6 @@ class TestGenerate:
                 with pytest.raises(EmptyIntersection):
                     generate_from_subbase(sys, subbase)
             elif status == "escape":
-                from connsys.errors import EfficiencyEscape
-
                 with pytest.raises(EfficiencyEscape):
                     generate_from_subbase(sys, subbase)
             else:
@@ -338,6 +340,54 @@ class TestGenerate:
                 assert got.members == frozenset(payload)
                 assert check_family(sys, got, "filter").holds
             done += 1
+
+    def test_cut_systems_match_the_oracles_on_both_paths(self):
+        """Members and escape witnesses match the oracles at n = 6..8, where most generated families take
+        the array path of check_family; half the subbases are pairs whose intersection is not efficient,
+        which is where escapes come from."""
+        rng = random.Random(60801)
+        seen = Counter()
+        for n in (6, 7, 8) * 8:
+            labels = [f"x{i}" for i in range(n)]
+            if rng.random() < 0.5:
+                edges = rng.sample(list(combinations(range(n), 2)), 2 * n)
+                sys = ConnectivitySystem.from_vertex_cut(labels, n, edges)
+            else:
+                vertices = rng.randint(5, 7)
+                edges = rng.sample(list(combinations(range(vertices), 2)), n)
+                sys = ConnectivitySystem.from_edge_cut(labels, vertices, edges)
+            values = sys.values
+            for _ in range(20):
+                k = rng.randint(sys.max_value // 3, sys.max_value)
+                keff = [m for m in range(1, 1 << n) if values[m] <= k]
+                members = rng.sample(keff, rng.randint(1, min(3, len(keff))))
+                crossing = [b for b in keff if b & members[0] and values[b & members[0]] > k]
+                if crossing and rng.random() < 0.5:
+                    members = [members[0], rng.choice(crossing)]
+                status, payload = oracle_generate_from_subbase(values, n, members, k)
+                subbase = SetFamily.of(members, k, n)
+                if status == "empty":
+                    with pytest.raises(EmptyIntersection):
+                        generate_from_subbase(sys, subbase)
+                    continue
+                cores = {reduce(and_, c) for r in range(1, len(members) + 1) for c in combinations(members, r)}
+                literal = up_closed(sys, [c for c in cores if values[c] <= k], k)
+                if status == "escape":
+                    with pytest.raises(EfficiencyEscape) as exc:
+                        generate_from_subbase(sys, subbase)
+                    assert (exc.value.a_mask, exc.value.b_mask, exc.value.missing_mask) == payload
+                else:
+                    assert generate_from_subbase(sys, subbase) == literal
+                    assert literal.members == frozenset(payload)
+                seen[status, len(literal) >= 17] += 1
+                # a prefilter: an efficient set with some of its efficient supersets
+                base = rng.choice(keff)
+                above = [m for m in keff if m & base == base]
+                prefilter = [base] + rng.sample(above, min(len(above), rng.randint(0, 3)))
+                got = generated_filter_of_prefilter(sys, SetFamily.of(prefilter, k, n))
+                assert got == up_closed(sys, prefilter, k)
+                seen["prefilter", len(got) >= 17] += 1
+        assert all(seen[status, True] >= 3 for status in ("ok", "escape", "prefilter")), seen
 
     def test_ultrafilter_subbase_generates_ultrafilter(self):
         for sys in all_three_element_systems((0, 1)):

@@ -1,19 +1,26 @@
+import os
 import random
 import re
+import subprocess
+import sys as _sys
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connsys
 from connsys import (
     ConnectivitySystem,
+    SetFamily,
     check_family,
     construct_ultrafilter,
     enumerate_k_efficient,
     find_sequence_chain,
+    generate_from_subbase,
 )
 from connsys.core import (
     GroundSet,
@@ -306,14 +313,47 @@ def test_large_vertex_cuts_store_one_array(n, m, limit):
     assert enumerate_k_efficient(sys, k)
     fam = construct_ultrafilter(sys, k)
     assert check_family(sys, fam, "ultrafilter").holds
+    assert generate_from_subbase(sys, SetFamily.of([min(fam.members)], k, n)).members <= fam.members
     for bound in (sys.max_value // 3, sys.max_value // 2):
         find_sequence_chain(sys, bound)
-    assert "values" not in sys.__dict__  # no call above builds the value tuple
     twin = ConnectivitySystem.from_vertex_cut(labels, n, edges)
     assert twin == sys and hash(twin) == hash(sys) and twin.array is not sys.array
     assert ConnectivitySystem.from_vertex_cut(labels, n, edges[1:]) != sys
     assert ConnectivitySystem.from_table(labels, dict(enumerate(values.tolist()))) != sys  # another spec_kind
-    assert sys.values == tuple(values.tolist()) and sys.values is sys.values
+    assert sys.values == tuple(values.tolist())
+    assert "values" not in vars(sys)  # neither the calls above nor reading values store anything
+
+
+_RSS_PROBE = """
+import random, resource
+from itertools import combinations
+from connsys import ConnectivitySystem, SetFamily, check_family
+n = 20
+edges = random.Random(0).sample(list(combinations(range(n), 2)), 60)
+system = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert check_family(system, SetFamily.of([system.full_mask], 0, n), "filter").holds
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_small_family_check_builds_nothing_of_size_2_to_the_n():
+    """In a fresh process, deciding {X} at k = 0 on an n = 20 vertex cut raises the peak RSS by under 1 MB.
+
+    A 2^20 tuple of Python ints would add 8 MB of pointers alone. ru_maxrss is in KiB on Linux. A process
+    starts with the peak RSS of the one that exec'd it, so the probe is forked from a shell rather than
+    spawned from the test process: ``; :`` keeps the shell from exec'ing it in place.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(connsys.__file__).parents[1]))
+    done = subprocess.run(
+        ["sh", "-c", '"$0" -c "$1"; :', _sys.executable, _RSS_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 1024
 
 
 @settings(max_examples=150, deadline=None)

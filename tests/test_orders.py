@@ -24,6 +24,7 @@ from connsys.errors import (
     EfficiencyViolation,
     ElementAbsent,
     ElementAlreadyPresent,
+    GroundSetMismatch,
     InvalidParameter,
     NotKEfficient,
 )
@@ -169,6 +170,40 @@ class TestChainOps:
     def test_delete_absent(self, trivial2):
         with pytest.raises(ElementAbsent):
             chain_delete_single(trivial2, make_chain(trivial2, [0b01], 0), 0, 1)
+
+
+class TestGroundSetChecks:
+    """Masks and elements outside the ground set are rejected, not read past the value array or wrapped round."""
+
+    @pytest.mark.parametrize("sets", [[0, 1 << 9], [-1], [0b0001, 0b10001]])
+    def test_make_chain(self, c4_edge, sets):
+        with pytest.raises(GroundSetMismatch):
+            make_chain(c4_edge, sets, 2)
+
+    @pytest.mark.parametrize("sets", [[1 << 9], [-1]])
+    def test_make_antichain(self, c4_edge, sets):
+        with pytest.raises(GroundSetMismatch):
+            make_antichain(c4_edge, sets, 2)
+
+    @pytest.mark.parametrize("family", [[0b0001, 1 << 4], [-1]])
+    def test_min_chain_cover(self, c4_edge, family):
+        with pytest.raises(GroundSetMismatch):
+            min_chain_cover(c4_edge, family, 2)
+
+    @pytest.mark.parametrize("family", [[0b0001, 1 << 4], [-1]])
+    def test_brute_force_min_cover_size(self, c4_edge, family):
+        with pytest.raises(GroundSetMismatch):
+            brute_force_min_cover_size(c4_edge, family, 2)
+
+    @pytest.mark.parametrize("element", [4, 7, -1])
+    def test_chain_extend_single(self, c4_edge, element):
+        with pytest.raises(GroundSetMismatch):
+            chain_extend_single(c4_edge, make_chain(c4_edge, [0b0001], 2), element)
+
+    @pytest.mark.parametrize("element", [4, 7, -1])
+    def test_chain_delete_single(self, c4_edge, element):
+        with pytest.raises(GroundSetMismatch):
+            chain_delete_single(c4_edge, make_chain(c4_edge, [0b0011], 2), 0, element)
 
 
 class TestTheoremAudits:

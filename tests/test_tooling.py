@@ -71,3 +71,21 @@ def test_readme_lists_exactly_the_size_gates():
         for name, value in re.findall(r"^\| `([A-Z_]+)` \| (\d+) \|", (ROOT / "README.md").read_text(), re.M)
     }
     assert documented == {name: constants[name] for name in gated}
+
+
+def test_library_reads_f_from_the_array_alone():
+    """No module of the library reads ``.values``: it builds a 2^n tuple of Python ints on each access.
+
+    Calls of a ``values()`` method, such as a dict's, are not reads of the attribute.
+    """
+    offending = []
+    for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        offending += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values"
+            and isinstance(node.ctx, ast.Load) and id(node) not in called
+        ]
+    assert not offending, f"reads of .values at {offending}"
