@@ -33,6 +33,7 @@ from .families import (
     check_family,
     classify_family,
     complement_family,
+    derived_flags,
     fip_check,
     truncate_order,
 )

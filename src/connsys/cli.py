@@ -39,7 +39,7 @@ from .errors import (
     InternalError,
     SizeGateExceeded,
 )
-from .families import check_family, classify_family
+from .families import check_family, classify_family, derived_flags
 from .orders import (
     BRUTE_COVER_MAX_FAMILY,
     CHAIN_THEOREMS,
@@ -182,7 +182,7 @@ def _run_width(args, sys: ConnectivitySystem):
 def _run_family(args, sys: ConnectivitySystem):
     fam = load_family(args.family, sys, k=args.k)
     verdict = check_family(sys, fam, args.kind, single_mode=args.single_mode)
-    out = verdict_to_json(sys, verdict)
+    out = verdict_to_json(sys, verdict, derived_flags(sys, fam, args.kind))
     out["kind"] = args.kind
     out["flags"] = flags_to_json(classify_family(sys, fam))
     return out, 0 if verdict.holds else 1

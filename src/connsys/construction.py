@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .errors import (
     InvalidParameter,
     NotAFilter,
 )
-from .families import SetFamily, _intersection_values, _subset_transform, check_family
+from .families import SetFamily, _closure_values, _subset_transform, check_family
 
 ENUMERATION_MAX_N = 8
 OPERATION_BUDGET_FACTOR = 64
@@ -442,7 +443,7 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     verdict = check_family(sys, subbase, "filter_subbase")
     if not verdict.holds:
         raise InvalidParameter(f"subbase fails {verdict.violated_axiom}")
-    values = _intersection_values(subbase.sorted_members())
+    values = _closure_values(subbase.sorted_members(), operator.and_)
     if 0 in values:
         raise EmptyIntersection(values[0])
     cores = frozenset(v for v in values if sys.f(v) <= subbase.k)

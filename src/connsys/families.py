@@ -6,16 +6,18 @@ over all subsets (Q4, T2, SB4, MA1, ...) are evaluated over all k-efficient
 subsets of the system. Verdicts report the first violated axiom in the
 kind's fixed order, with the lowest-bitmask witness.
 
-For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4, T3 and
-the derived FT1 flag are decided exactly on boolean arrays over the 2^n
-masks: membership, efficiency and the subset transform of membership. A
-failing axiom's literal scan then runs only to find the same witness.
+For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4 and T3
+are decided exactly on boolean arrays over the 2^n masks: membership,
+efficiency and the subset transform of membership. A failing axiom's
+literal scan then runs only to find the same witness. The flags that a
+report derives beside a verdict (FT1, QS1, QSD1) come from derived_flags.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
@@ -33,46 +35,9 @@ from .errors import (
 )
 
 MAJORITY_MAX_N = 8
-DERIVED_TRIPLE_MAX_MEMBERS = 64
 # Families this large are decided on membership arrays; below it the literal
 # scans are cheaper than the numpy calls.
 ARRAY_MIN_MEMBERS = 17
-
-KINDS = (
-    "filter",
-    "ultrafilter",
-    "weak_filter",
-    "quasi_filter",
-    "single_filter",
-    "single_ultrafilter",
-    "tangle",
-    "prefilter",
-    "ultra_prefilter",
-    "filter_subbase",
-    "ultrafilter_subbase",
-    "pi_system",
-    "lambda_system",
-    "superfilter",
-    "sigma_filter",
-    "closure_system",
-    "union_closed_system",
-    "independence_system",
-    "majority_system",
-)
-
-# Kinds whose definitions require a non-empty family outright.
-NONEMPTY_KINDS = {
-    "filter",
-    "ultrafilter",
-    "weak_filter",
-    "quasi_filter",
-    "single_filter",
-    "single_ultrafilter",
-    "tangle",
-    "prefilter",
-    "ultra_prefilter",
-    "superfilter",
-}
 
 
 @dataclass(frozen=True)
@@ -84,6 +49,8 @@ class SetFamily:
     n: int
 
     def __post_init__(self):
+        if self.k < 0:
+            raise InvalidParameter("the efficiency bound must be non-negative")
         full = (1 << self.n) - 1
         for m in self.members:
             if m < 0 or m > full:
@@ -108,7 +75,6 @@ class Verdict:
     holds: bool
     violated_axiom: str | None = None
     witnesses: tuple[int, ...] = ()
-    derived: dict = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -316,30 +282,42 @@ def _ax_l2(c: _Ctx):
     return None
 
 
-def _disjoint_union_values(members: list[int]) -> dict[int, tuple[int, int]]:
-    """All unions of pairwise-disjoint sub-collections, with one generating pair each."""
+def _closure_values(members: list[int], join) -> dict[int, tuple[int, int]]:
+    """Every value of join (None where it does not apply) over sub-collections, with one generating pair each."""
     values = {m: (m, m) for m in members}
     frontier = list(members)
     while frontier:
         nxt = []
         for u in frontier:
             for v in list(values):
-                if u & v == 0:
-                    w = u | v
-                    if w not in values:
-                        values[w] = (u, v)
-                        nxt.append(w)
+                w = join(u, v)
+                if w is not None and w not in values:
+                    values[w] = (u, v)
+                    nxt.append(w)
         frontier = nxt
     return values
 
 
-def _ax_l3(c: _Ctx):
-    values = _disjoint_union_values(c.sorted)
-    for w in sorted(values):
-        if c.eff(w) and w not in c.members:
-            u, v = values[w]
-            return (u, v, w)
-    return None
+def _disjoint_union(u: int, v: int) -> int | None:
+    return None if u & v else u | v
+
+
+def _closed_under(join):
+    """The scan of "every efficient value of join over the members is a member"."""
+
+    def scan(c: _Ctx):
+        values = _closure_values(c.sorted, join)
+        for w in sorted(values):
+            if c.eff(w) and w not in c.members:
+                u, v = values[w]
+                return (u, v, w)
+        return None
+
+    return scan
+
+
+_ax_l3 = _closed_under(_disjoint_union)
+_ax_sif3 = _closed_under(operator.and_)
 
 
 def _ax_suf3(c: _Ctx):
@@ -347,31 +325,6 @@ def _ax_suf3(c: _Ctx):
         for b in c.keff:
             if (a | b) in c.members and a not in c.members and b not in c.members:
                 return (a, b, a | b)
-    return None
-
-
-def _intersection_values(members: list[int]) -> dict[int, tuple[int, int]]:
-    """All intersections of non-empty sub-collections, with one generating pair each."""
-    values = {m: (m, m) for m in members}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in list(values):
-                w = u & v
-                if w not in values:
-                    values[w] = (u, v)
-                    nxt.append(w)
-        frontier = nxt
-    return values
-
-
-def _ax_sif3(c: _Ctx):
-    values = _intersection_values(c.sorted)
-    for w in sorted(values):
-        if c.eff(w) and w not in c.members:
-            u, v = values[w]
-            return (u, v, w)
     return None
 
 
@@ -435,37 +388,32 @@ def _ax_ma3(c: _Ctx):
 
 
 _AXIOMS = {
-    "filter": [("Q0", _ax_q0), ("Q1", _ax_q1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
-    "ultrafilter": [("Q0", _ax_q0), ("Q1", _ax_q1), ("Q2", _ax_q2), ("Q3", _ax_q3), ("Q4", _ax_q4)],
-    "weak_filter": [("Q0", _ax_q0), ("QW1'", _ax_qw1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
-    "quasi_filter": [("Q0", _ax_q0), ("QQ1'", _ax_qq1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
-    "single_filter": [("Q0", _ax_q0), ("QS1", _ax_qs1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
+    "filter": [("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("Q1", _ax_q1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
+    "ultrafilter": [
+        ("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("Q1", _ax_q1), ("Q2", _ax_q2), ("Q3", _ax_q3), ("Q4", _ax_q4)
+    ],
+    "weak_filter": [("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("QW1'", _ax_qw1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
+    "quasi_filter": [("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("QQ1'", _ax_qq1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
+    "single_filter": [("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("QS1", _ax_qs1), ("Q2", _ax_q2), ("Q3", _ax_q3)],
     "single_ultrafilter": [
-        ("Q0", _ax_q0),
-        ("QS1", _ax_qs1),
-        ("Q2", _ax_q2),
-        ("Q3", _ax_q3),
-        ("Q4", _ax_q4),
+        ("nonempty", _ax_nonempty), ("Q0", _ax_q0), ("QS1", _ax_qs1), ("Q2", _ax_q2), ("Q3", _ax_q3), ("Q4", _ax_q4)
     ],
-    "tangle": [("T1", _ax_q0), ("T2", _ax_q4), ("T3", _ax_t3), ("T4", _ax_t4)],
-    "prefilter": [("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3)],
-    "ultra_prefilter": [("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3), ("P4", _ax_p4)],
+    "tangle": [("nonempty", _ax_nonempty), ("T1", _ax_q0), ("T2", _ax_q4), ("T3", _ax_t3), ("T4", _ax_t4)],
+    "prefilter": [("nonempty", _ax_nonempty), ("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3)],
+    "ultra_prefilter": [("nonempty", _ax_nonempty), ("P1", _ax_q3), ("P2", _ax_q0), ("P3", _ax_p3), ("P4", _ax_p4)],
     "filter_subbase": [("SB1", _ax_nonempty), ("SB2", _ax_q3), ("SB3", _ax_q0)],
-    "ultrafilter_subbase": [
-        ("SB1", _ax_nonempty),
-        ("SB2", _ax_q3),
-        ("SB3", _ax_q0),
-        ("SB4", _ax_p4),
-    ],
+    "ultrafilter_subbase": [("SB1", _ax_nonempty), ("SB2", _ax_q3), ("SB3", _ax_q0), ("SB4", _ax_p4)],
     "pi_system": [("PI1", _ax_nonempty), ("PI2", _ax_q1)],
     "lambda_system": [("L1", _ax_has_full), ("L2", _ax_l2), ("L3", _ax_l3)],
-    "superfilter": [("SUF1", _ax_q0), ("SUF2", _ax_q2), ("SUF3", _ax_suf3)],
+    "superfilter": [("nonempty", _ax_nonempty), ("SUF1", _ax_q0), ("SUF2", _ax_q2), ("SUF3", _ax_suf3)],
     "sigma_filter": [("SIF1", _ax_has_full), ("SIF2", _ax_q2), ("SIF3", _ax_sif3)],
     "closure_system": [("CL1", _ax_q1), ("CL2", _ax_has_full)],
     "union_closed_system": [("UC1", _ax_uc1), ("UC2", _ax_uc2)],
     "independence_system": [("IN1", _ax_in1), ("IN2", _ax_in2)],
     "majority_system": [("MA1", _ax_q4), ("MA2", _ax_ma2), ("MA3", _ax_ma3)],
 }
+
+KINDS = tuple(_AXIOMS)
 
 
 # Whole-array decisions: each is true exactly when the scan it is keyed by
@@ -480,19 +428,11 @@ _FAILS_ON_ARRAYS = {
 }
 
 
-def _derived_flags(kind: str, c: _Ctx) -> dict:
-    derived = {}
-    if kind in ("filter", "ultrafilter") and len(c.members) <= DERIVED_TRIPLE_MAX_MEMBERS:
-        if c.arrays is not None:
-            # a & b & d == 0 iff d lies inside X - (a & b); down[::-1][u] is down[X ^ u]
-            ft1 = not c.arrays.any_pair(np.bitwise_and, c.arrays.down[::-1])
-        else:
-            ft1 = all(a & b & d for a, b, d in combinations_with_replacement(c.sorted, 3))
-        derived["FT1"] = ft1
-    if kind in ("single_filter", "single_ultrafilter"):
-        derived["QS1"] = _ax_qs1(c) is None
-        derived["QSD1"] = _ax_qsd1(c) is None
-    return derived
+def _check_input(sys: ConnectivitySystem, fam: SetFamily, kind: str) -> None:
+    if kind not in _AXIOMS:
+        raise InvalidParameter(f"unknown family kind {kind!r}")
+    if fam.n != sys.n:
+        raise GroundSetMismatch(f"family over {fam.n} elements, system over {sys.n}")
 
 
 def check_family(
@@ -503,35 +443,67 @@ def check_family(
 ) -> Verdict:
     """Decide whether fam satisfies the axioms of the given family kind.
 
-    single_mode selects which deletion axiom gates single_filter verdicts;
-    both variants are always reported in Verdict.derived for that kind.
+    single_mode, "QS1" or "QSD1", selects which deletion axiom gates the
+    single_filter and single_ultrafilter verdicts.
     """
-    if kind not in _AXIOMS:
-        raise InvalidParameter(f"unknown family kind {kind!r}")
-    if fam.k < 0:
-        raise InvalidParameter("the efficiency bound must be non-negative")
-    if fam.n != sys.n:
-        raise GroundSetMismatch(f"family over {fam.n} elements, system over {sys.n}")
+    _check_input(sys, fam, kind)
+    if single_mode not in ("QS1", "QSD1"):
+        raise InvalidParameter(f"unknown single mode {single_mode!r}; expected QS1 or QSD1")
     if kind == "majority_system" and sys.n > gate_limit(MAJORITY_MAX_N):
         raise GroundSetTooLargeForEnumeration(
             f"majority_system axiom MA3 is gated to n <= {gate_limit(MAJORITY_MAX_N)}"
         )
     c = _Ctx(sys, fam)
     axioms = _AXIOMS[kind]
-    if kind in ("single_filter", "single_ultrafilter") and single_mode == "QSD1":
+    if single_mode == "QSD1":
         axioms = [(lab, fn) if lab != "QS1" else ("QSD1", _ax_qsd1) for lab, fn in axioms]
-    if kind in NONEMPTY_KINDS:
-        axioms = [("nonempty", _ax_nonempty)] + axioms
     for label, fn in axioms:
         fails = _FAILS_ON_ARRAYS.get(fn) if c.arrays is not None else None
         if fails is not None and not fails(c.arrays):
             continue
         witness = fn(c)
         if witness is not None:
-            return Verdict(False, label, tuple(witness[:3]), _derived_flags(kind, c))
+            return Verdict(False, label, tuple(witness[:3]))
         if fails is not None:
             raise InternalError(f"axiom {label} fails on the membership arrays but its scan finds no witness")
-    return Verdict(True, None, (), _derived_flags(kind, c))
+    return Verdict(True)
+
+
+def _meet_counts(mem: np.ndarray, n: int) -> np.ndarray:
+    """counts[S]: the number of ordered pairs (a, b) of marked masks with a & b = S.
+
+    The superset zeta transform counts the marked masks above each S, its
+    square counts the pairs whose meet lies above S, and Moebius inversion
+    over supersets leaves the pairs whose meet is S exactly (Bjoerklund,
+    Husfeldt, Kaski and Koivisto, STOC 2007). The counts are at most 4^n.
+    """
+    counts = mem.astype(np.int64)
+    for i in range(n):
+        cube = counts.reshape(-1, 2, 1 << i)  # axis 1 is bit i
+        cube[:, 0] += cube[:, 1]
+    counts *= counts
+    for i in range(n):
+        cube = counts.reshape(-1, 2, 1 << i)
+        cube[:, 0] -= cube[:, 1]
+    return counts
+
+
+def derived_flags(sys: ConnectivitySystem, fam: SetFamily, kind: str) -> dict:
+    """The flags that a family check report shows beside the verdict of the given kind.
+
+    filter and ultrafilter: FT1, whether every three members, repeats
+    allowed, share an element. single_filter and single_ultrafilter: whether
+    each of the deletion axioms QS1 and QSD1 holds. Other kinds: none.
+    """
+    _check_input(sys, fam, kind)
+    if kind in ("filter", "ultrafilter"):
+        arrays = _Arrays(sys.array <= fam.k, fam.sorted_members(), sys.n)
+        # a & b & d = 0 iff d lies inside X - (a & b); down[::-1][S] is down[X ^ S]
+        return {"FT1": not (arrays.down[::-1] & (_meet_counts(arrays.mem, sys.n) > 0)).any()}
+    if kind in ("single_filter", "single_ultrafilter"):
+        c = _Ctx(sys, fam)
+        return {"QS1": _ax_qs1(c) is None, "QSD1": _ax_qsd1(c) is None}
+    return {}
 
 
 def classify_family(sys: ConnectivitySystem, fam: SetFamily) -> FamilyFlags:
@@ -563,10 +535,12 @@ def fip_check(sys: ConnectivitySystem, fam: SetFamily, a_mask: int) -> bool:
     The literal answer is cross-checked against the complement-membership
     route; a disagreement emits a FipCrossCheckWarning.
     """
+    if not 0 <= a_mask <= sys.full_mask:
+        raise GroundSetMismatch(f"subset mask {a_mask:#x} outside an {sys.n}-element ground set")
     verdict = check_family(sys, fam, "filter")
     if not verdict.holds:
         raise NotAFilter(verdict)
-    values = _intersection_values(sorted(fam.members | {a_mask}))
+    values = _closure_values(sorted(fam.members | {a_mask}), operator.and_)
     literal = 0 not in values
     via_complement = (sys.full_mask ^ a_mask) not in fam.members
     if literal != via_complement:

@@ -110,14 +110,14 @@ def family_to_json(sys: ConnectivitySystem, fam: SetFamily) -> dict:
     return {"k": fam.k, "sets": [subset_key(sys, m) for m in fam.sorted_members()]}
 
 
-def verdict_to_json(sys: ConnectivitySystem, verdict: Verdict) -> dict:
+def verdict_to_json(sys: ConnectivitySystem, verdict: Verdict, derived: dict) -> dict:
     out = {
         "holds": verdict.holds,
         "violated_axiom": verdict.violated_axiom,
         "witnesses": [subset_key(sys, w) for w in verdict.witnesses],
     }
-    if verdict.derived:
-        out["derived"] = {key: verdict.derived[key] for key in sorted(verdict.derived)}
+    if derived:
+        out["derived"] = {key: derived[key] for key in sorted(derived)}
     return out
 
 

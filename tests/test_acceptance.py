@@ -110,7 +110,7 @@ def test_criterion_02_axiom_oracle_equivalence():
                 fam = SetFamily.of(members, k, 3)
                 for kind in kinds:
                     got = check_family(sys, fam, kind).holds
-                    want = oracle_family_holds(sys.values, 3, members, k, kind)
+                    want = oracle_family_holds(sys.array.tolist(), 3, members, k, kind)
                     assert got == want, (sys.spec_payload, k, members, kind)
                     compared += 1
     report(
@@ -264,7 +264,7 @@ def test_criterion_09_subbase_generation():
             continue
         members = rng.sample(keff, k=rng.randint(1, min(4, len(keff))))
         subbase = SetFamily.of(members, k, sys.n)
-        status, payload = oracle_generate_from_subbase(sys.values, sys.n, members, k)
+        status, payload = oracle_generate_from_subbase(sys.array.tolist(), sys.n, members, k)
         if status == "empty":
             with pytest.raises(EmptyIntersection):
                 generate_from_subbase(sys, subbase)

@@ -67,6 +67,22 @@ def test_family_check_holds(files, capsys):
     assert report["result"]["holds"] is True
 
 
+def test_family_check_single_modes(files, capsys):
+    # f(c) = 2 > k, so QS1 never deletes c, while QSD1 finds {a,c} - c = {a} efficient and missing
+    values = {"": 0, "a": 1, "b": 1, "c": 2, "a,b": 2, "a,c": 1, "b,c": 1, "a,b,c": 0}
+    inst = files("t3.json", {"ground_set": ["a", "b", "c"], "function": {"type": "table", "values": values}})
+    fam = files("f.json", {"k": 1, "sets": ["a,c", "b,c", "a,b,c"]})
+    argv = ["family", "check", inst, "--kind", "single_filter", "-k", "1", "--family", fam]
+    code, report, _ = run(capsys, *argv)
+    assert code == 0
+    assert report["result"]["derived"] == {"QS1": True, "QSD1": False}
+    code, report, _ = run(capsys, *argv, "--single-mode", "QSD1")
+    assert code == 1
+    result = report["result"]
+    assert (result["violated_axiom"], result["witnesses"]) == ("QSD1", ["a,c", "c"])
+    assert result["derived"] == {"QS1": True, "QSD1": False}
+
+
 def test_family_check_violation_exit1(files, capsys):
     inst = files("c4.json", C4_EDGES)
     fam = files("f0.json", {"k": 1, "sets": [[], ["e1", "e2", "e3", "e4"]]})

@@ -79,7 +79,7 @@ class TestEnumerate:
                     want = []
                     for bitset in range(1 << 8):
                         members = frozenset(m for m in range(8) if bitset >> m & 1)
-                        if oracle_family_holds(sys.values, 3, members, k, kind):
+                        if oracle_family_holds(sys.array.tolist(), 3, members, k, kind):
                             want.append(members)
                     want.sort(key=lambda F: [m not in F for m in keff])
                     assert got == want, (sys.spec_payload, k, kind)
@@ -97,7 +97,7 @@ class TestEnumerate:
                 want = []
                 for bitset in range(1 << len(keff)):
                     members = frozenset(m for j, m in enumerate(keff) if bitset >> j & 1)
-                    if oracle_family_holds(sys.values, 4, members, k, "tangle"):
+                    if oracle_family_holds(sys.array.tolist(), 4, members, k, "tangle"):
                         want.append(members)
                 want.sort(key=lambda F: [m not in F for m in keff])
                 got = [f.members for f in enumerate_families(sys, EnumerationRequest("tangle", k))]
@@ -202,11 +202,11 @@ def test_construct_and_extend_follow_the_greedy_rules():
     for _ in range(40):
         sys = random_cut_system(rng, 7)
         for k in range(sys.max_value + 1):
-            want = oracle_greedy_ultrafilter(sys.values, sys.n, k, None)
+            want = oracle_greedy_ultrafilter(sys.array.tolist(), sys.n, k, None)
             assert construct_ultrafilter(sys, k).members == want, (sys.spec_payload, k)
             keff = [m for m in range(1, 1 << sys.n) if sys.f(m) <= k]
             base = up_closed(sys, [rng.choice(keff)], k)
-            want = oracle_greedy_ultrafilter(sys.values, sys.n, k, base.members)
+            want = oracle_greedy_ultrafilter(sys.array.tolist(), sys.n, k, base.members)
             assert extend_filter_to_ultrafilter(sys, base).members == want, (sys.spec_payload, k)
 
 
@@ -220,7 +220,7 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
 
     def checked_propagate(self, queue):
         seeds_in, seeds_out = sorted(decided(self, _IN)) + queue, sorted(decided(self, _OUT))
-        want = oracle_closure(self.sys.values, self.sys.n, self.k, self.kind, seeds_in, seeds_out)
+        want = oracle_closure(self.sys.array.tolist(), self.sys.n, self.k, self.kind, seeds_in, seeds_out)
         ok = real(self, queue)
         assert ok == (want is not None), (self.sys.spec_payload, self.k, self.kind, seeds_in, seeds_out)
         if ok:
@@ -234,7 +234,7 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         # every member's complement is out: the rules put it out, and a branch's parent is a fixpoint
         seeds_in = [m for m in range(1 << self.sys.n) if ins >> m & 1]
         seeds_out = [self.sys.full_mask ^ m for m in seeds_in]
-        want = oracle_closure(self.sys.values, self.sys.n, self.k, "tangle", seeds_in, seeds_out)
+        want = oracle_closure(self.sys.array.tolist(), self.sys.n, self.k, "tangle", seeds_in, seeds_out)
         closed = real_close(self, ins, new)
         assert (closed is not None) == (want is not None), (self.sys.spec_payload, self.k, seeds_in)
         if closed is not None:
@@ -328,7 +328,7 @@ class TestGenerate:
                 continue
             members = rng.sample(keff, k=rng.randint(1, min(3, len(keff))))
             subbase = SetFamily.of(members, k, 3)
-            status, payload = oracle_generate_from_subbase(sys.values, 3, members, k)
+            status, payload = oracle_generate_from_subbase(sys.array.tolist(), 3, members, k)
             if status == "empty":
                 with pytest.raises(EmptyIntersection):
                     generate_from_subbase(sys, subbase)
@@ -356,7 +356,7 @@ class TestGenerate:
                 vertices = rng.randint(5, 7)
                 edges = rng.sample(list(combinations(range(vertices), 2)), n)
                 sys = ConnectivitySystem.from_edge_cut(labels, vertices, edges)
-            values = sys.values
+            values = sys.array.tolist()
             for _ in range(20):
                 k = rng.randint(sys.max_value // 3, sys.max_value)
                 keff = [m for m in range(1, 1 << n) if values[m] <= k]
@@ -449,7 +449,7 @@ class TestUltrafilterNumber:
         for sys in systems:
             for k in range(sys.max_value + 2):
                 ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
-                want = oracle_ultrafilter_number(sys.values, sys.n, k, [uf.members for uf in ufs])
+                want = oracle_ultrafilter_number(sys.array.tolist(), sys.n, k, [uf.members for uf in ufs])
                 got = ultrafilter_number(sys, k)
                 witness = got.witness_prefilter
                 assert (got.u, witness.members if witness else None) == (

@@ -121,7 +121,7 @@ class TestBranchWidth:
 
     def test_matches_bipartition_oracle(self, c4_edge, k4_edge, c4_vertex):
         for sys in (c4_edge, k4_edge, c4_vertex, cardinality_system()):
-            assert branch_width(sys).width == oracle_branch_width(sys.values, sys.n)
+            assert branch_width(sys).width == oracle_branch_width(sys.array.tolist(), sys.n)
 
     def test_relabeling_equivariance(self, c4_edge):
         # rotate the cycle's edge labels; the width must not move
@@ -140,7 +140,7 @@ class TestBranchWidth:
     @given(cut_systems())
     def test_matches_minimum_over_all_trees(self, sys):
         trees = oracle_branch_trees(sys.n)
-        best = min(oracle_tree_width(sys.values, sys.n, edges) for edges in trees)
+        best = min(oracle_tree_width(sys.array.tolist(), sys.n, edges) for edges in trees)
         result = branch_width(sys)
         assert result.width == best
         assert decomposition_width(sys, result.certificate) == best

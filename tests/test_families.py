@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connsys
 from connsys import (
     ConnectivitySystem,
     EnumerationRequest,
@@ -12,17 +13,27 @@ from connsys import (
     classify_family,
     complement_family,
     construct_ultrafilter,
+    derived_flags,
     enumerate_families,
     extend_filter_to_ultrafilter,
     fip_check,
+    generate_from_subbase,
+    run_theorem_audit,
     truncate_order,
 )
-from connsys import families
+from connsys import construction, families, orders
 from connsys.core import popcount
-from connsys.errors import BoundIncrease, FipCrossCheckWarning, GroundSetMismatch, NotAFilter
+from connsys.errors import (
+    BoundIncrease,
+    FipCrossCheckWarning,
+    GroundSetMismatch,
+    GroundSetTooLargeForEnumeration,
+    InvalidParameter,
+    NotAFilter,
+)
 from connsys.families import KINDS
 
-from .conftest import all_three_element_systems
+from .conftest import all_three_element_systems, make_table_system
 from .oracles import oracle_family_holds, oracle_ft1
 
 
@@ -87,13 +98,32 @@ class TestCheckFamily:
         assert check_family(c4_edge, family, "ultrafilter").holds
 
     def test_ft1_derived_flag(self, c4_edge):
-        v = check_family(c4_edge, up_closed(c4_edge, [0b0001], 2), "ultrafilter")
-        assert v.derived["FT1"] is True
+        assert derived_flags(c4_edge, up_closed(c4_edge, [0b0001], 2), "ultrafilter") == {"FT1": True}
 
     def test_single_filter_modes_reported(self, c4_edge):
         family = up_closed(c4_edge, [0b0001], 2)
-        v = check_family(c4_edge, family, "single_filter")
-        assert set(v.derived) == {"QS1", "QSD1"}
+        assert set(derived_flags(c4_edge, family, "single_filter")) == {"QS1", "QSD1"}
+        assert derived_flags(c4_edge, family, "pi_system") == {}
+
+    def test_qsd1_gates_the_single_kinds_when_selected(self):
+        # f(c) = 2 > k, so QS1 never deletes c, while QSD1 finds {a,c} - c = {a} efficient and missing
+        sys = make_table_system(3, {0b001: 1, 0b010: 1, 0b100: 2})
+        family = fam([0b101, 0b110, 0b111], 1, 3)
+        assert derived_flags(sys, family, "single_filter") == {"QS1": True, "QSD1": False}
+        assert check_family(sys, family, "single_filter").holds
+        v = check_family(sys, family, "single_filter", single_mode="QSD1")
+        assert (v.holds, v.violated_axiom, v.witnesses) == (False, "QSD1", (0b101, 0b100))
+        assert check_family(sys, family, "single_ultrafilter", single_mode="QSD1").violated_axiom == "QSD1"
+
+    def test_unknown_single_mode_rejected(self, c4_edge):
+        with pytest.raises(InvalidParameter, match="single mode 'bogus'"):
+            check_family(c4_edge, fam([0b1111], 1, 4), "single_filter", single_mode="bogus")
+
+    def test_negative_bound_rejected_by_the_family(self, c4_edge):
+        with pytest.raises(InvalidParameter, match="the efficiency bound must be non-negative"):
+            fam([0b1111], -5, 4)
+        with pytest.raises(InvalidParameter, match="the efficiency bound must be non-negative"):
+            truncate_order(c4_edge, fam([0b1111], 1, 4), -3)
 
     def test_prefilter(self, trivial3):
         assert check_family(trivial3, fam([0b011, 0b001], 0, 3), "prefilter").holds
@@ -123,10 +153,11 @@ class TestCheckFamily:
         # disjoint union of two members must land back in the family
         v = check_family(trivial3, fam([full, 0, 0b001, 0b110, 0b010, 0b101], 0, 3), "lambda_system")
         assert v.violated_axiom == "L3"
+        # only disjoint unions must land back: {a,b} | {a,c} = {a,b,c} may be missing
+        trivial4 = ConnectivitySystem.from_table(list("abcd"), {m: 0 for m in range(16)})
+        assert check_family(trivial4, fam([0, 0b1111, 0b0011, 0b1100, 0b0101, 0b1010], 0, 4), "lambda_system").holds
 
     def test_sigma_filter_deep_intersection(self):
-        from .conftest import make_table_system
-
         sys = make_table_system(3, {0b001: 1, 0b010: 1, 0b100: 1})
         # pairwise intersections of the two-element sets are inefficient at k = 0,
         # but the triple intersection is empty and f(empty) = 0 <= k
@@ -174,7 +205,7 @@ class TestOracleAgreement:
                 family = fam(members, k, 3)
                 for kind in kinds:
                     got = check_family(trivial3, family, kind).holds
-                    want = oracle_family_holds(trivial3.values, 3, members, k, kind)
+                    want = oracle_family_holds(trivial3.array.tolist(), 3, members, k, kind)
                     assert got == want, (kind, k, members)
 
 
@@ -227,9 +258,12 @@ class TestFip:
         with pytest.raises(NotAFilter):
             fip_check(trivial2, fam([0b01], 0, 2), 0b10)
 
-    def test_cross_check_warning_when_routes_disagree(self):
-        from .conftest import make_table_system
+    @pytest.mark.parametrize("a_mask", [99, -1, 16])
+    def test_subset_outside_the_ground_set_rejected(self, c4_edge, a_mask):
+        with pytest.raises(GroundSetMismatch):
+            fip_check(c4_edge, fam([0b1111], 1, 4), a_mask)
 
+    def test_cross_check_warning_when_routes_disagree(self):
         # {{c}, X} is a filter at k = 0: the other supersets of {c} are inefficient;
         # adding the disjoint {a} breaks FIP while the complement {a,b} is no member
         sys = make_table_system(3, {0b001: 1, 0b010: 1, 0b100: 0})
@@ -275,6 +309,29 @@ class TestProperness:
                 assert not any(0b111 ^ m in family.members for m in family.members)
 
 
+def test_only_the_report_derives_flags(monkeypatch, seeded_cut_systems):
+    """Enumeration, construction, extension, generation and the audits decide verdicts without derived flags."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived_flags called outside the family check report")
+
+    for module in (connsys, families, construction, orders):
+        monkeypatch.setattr(module, "derived_flags", refuse, raising=False)
+    for sys in seeded_cut_systems[:8]:  # n = 3..6
+        for k in range(sys.max_value + 1):
+            for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
+                enumerate_families(sys, EnumerationRequest(kind, k))
+            construct_ultrafilter(sys, k)
+            principal = up_closed(sys, [1], k)
+            if principal.members:
+                extend_filter_to_ultrafilter(sys, principal)
+                generate_from_subbase(sys, principal)
+            try:
+                run_theorem_audit(sys, k)
+            except GroundSetTooLargeForEnumeration:  # the co-tangle audit's gate
+                run_theorem_audit(sys, k, [t for t in orders.THEOREM_IDS if t != "co-tangle-filter"])
+
+
 def test_all_kinds_dispatch(trivial2):
     for kind in KINDS:
         check_family(trivial2, fam([0b11], 0, 2), kind)
@@ -306,8 +363,9 @@ def _random_cut_system(rng, n, vertex_cut):
 def _perturbed(sys, members, k, rng):
     """Copies of members with one member dropped, or one set added of each sort that can break an axiom."""
     ordered = sorted(members)
-    eff_out = [m for m in range(1 << sys.n) if sys.values[m] <= k and m not in members]
-    not_eff = [m for m in range(1 << sys.n) if sys.values[m] > k]
+    values = sys.array.tolist()
+    eff_out = [m for m in range(1 << sys.n) if values[m] <= k and m not in members]
+    not_eff = [m for m in range(1 << sys.n) if values[m] > k]
     copies = [members | {0}]
     if ordered:
         copies += [members - {rng.choice(ordered)}, members | {sys.full_mask ^ rng.choice(ordered)}]
@@ -323,23 +381,24 @@ def cut_families():
     for n in range(5, 9):
         for vertex_cut in (True, False):
             sys = _random_cut_system(rng, n, vertex_cut)
-            for k in range(max(sys.values) + 1):
+            values = sys.array.tolist()
+            for k in range(sys.max_value + 1):
                 found = [
                     f.members
                     for kind in ("ultrafilter", "tangle", "single_ultrafilter")
                     for f in enumerate_families(sys, EnumerationRequest(kind, k, limit=1))
                 ]
                 found.append(construct_ultrafilter(sys, k).members)
-                seeds = [m for m in range(1, 1 << sys.n) if sys.values[m] <= k]
+                seeds = [m for m in range(1, 1 << sys.n) if values[m] <= k]
                 if seeds:
                     seed = rng.choice(seeds)
                     principal = SetFamily(
-                        frozenset(m for m in range(1 << sys.n) if sys.values[m] <= k and m & seed == seed), k, n
+                        frozenset(m for m in range(1 << sys.n) if values[m] <= k and m & seed == seed), k, n
                     )
                     found += [principal.members, extend_filter_to_ultrafilter(sys, principal).members]
                 # of a set and its complement at most one is this small, and three of them can cover X
                 # where no two do, so at odd n this family may fail T3 and nothing before it
-                found.append(frozenset(m for m in range(1 << n) if sys.values[m] <= k and 2 * popcount(m) < n))
+                found.append(frozenset(m for m in range(1 << n) if values[m] <= k and 2 * popcount(m) < n))
                 for members in found:
                     for variant in [members, *_perturbed(sys, members, k, rng)]:
                         cases.append((sys, SetFamily(frozenset(variant), k, n)))
@@ -356,7 +415,6 @@ class TestMembershipArrays:
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", (1 << sys.n) + 1)
                 literal = check_family(sys, family, kind)
                 assert on_arrays == literal, (sys.spec_payload, family, kind)
-                assert on_arrays.derived == literal.derived, (sys.spec_payload, family, kind)
                 if len(family) > 16 and not literal.holds:
                     failed_above_gate.add(literal.violated_axiom)
         # every array-decided axiom, under each of its labels, fails on some family above the gate
@@ -365,8 +423,19 @@ class TestMembershipArrays:
     def test_ft1_matches_the_triple_oracle(self, cut_families):
         seen = set()
         for sys, family in cut_families:
-            if 17 <= len(family) <= families.DERIVED_TRIPLE_MAX_MEMBERS:
-                want = oracle_ft1(family.members)
-                assert check_family(sys, family, "filter").derived["FT1"] is want
-                seen.add(want)
-        assert seen == {True, False}
+            want = oracle_ft1(family.members)
+            assert derived_flags(sys, family, "filter")["FT1"] is want, (sys.spec_payload, family)
+            seen.add((want, len(family) > 64))
+        assert seen == {(True, False), (False, False), (True, True), (False, True)}
+
+    def test_ft1_on_a_large_filter(self):
+        rng = random.Random(16)
+        pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(16)], 16, rng.sample(pairs, 24))
+        uf = construct_ultrafilter(sys, 4)
+        assert len(uf) > 64 and check_family(sys, uf, "filter").holds
+        member = min(uf.members, key=lambda m: (popcount(m), m))
+        broken = fam(uf.members | {sys.full_mask ^ member}, 4, 16)
+        for family in (uf, broken):
+            assert derived_flags(sys, family, "ultrafilter")["FT1"] is oracle_ft1(family.members)
+        assert derived_flags(sys, broken, "filter") == {"FT1": False}

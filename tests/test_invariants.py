@@ -87,7 +87,7 @@ class TestSecondaryWidthScan:
     def test_branch_width_matches_bipartition_dp_up_to_six(self):
         for g in connected_graphs_with_edges(3, 6):
             sys = edge_cut_system(g)
-            assert branch_width(sys).width == oracle_branch_width(sys.values, sys.n)
+            assert branch_width(sys).width == oracle_branch_width(sys.array.tolist(), sys.n)
 
 
 class TestChainExtension:

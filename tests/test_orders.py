@@ -10,6 +10,7 @@ from connsys import (
     chain_delete_single,
     chain_extend_single,
     check_family,
+    complement_family,
     enumerate_families,
     enumerate_k_efficient,
     find_max_antichain,
@@ -136,7 +137,7 @@ class TestSequenceChain:
         for sys in seeded_cut_systems:
             for k in [*range(-1, sys.max_value + 2), 256]:
                 got = find_sequence_chain(sys, k)
-                want = oracle_sequence_chain(sys.values, sys.n, k)
+                want = oracle_sequence_chain(sys.array.tolist(), sys.n, k)
                 assert (got.sets if got else None) == want, (sys.spec_payload, k)
 
 
@@ -263,6 +264,25 @@ class TestTheoremAudits:
                 assert report.status in ("verified_at_scale", "counterexample_found")
 
 
+def _first_of_seven_checks_failed(sys, ufs):
+    """(U, kind, axiom) for the first U, in search order, that fails a kind T2.32 lists, in the list's order."""
+    for uf in ufs:
+        comp = complement_family(uf)
+        for name, family, kind in (
+            ("co-tangle", comp, "tangle"),
+            ("superfilter", uf, "superfilter"),
+            ("closure_system", uf, "closure_system"),
+            ("sigma_filter", uf, "sigma_filter"),
+            ("pi_system", uf, "pi_system"),
+            ("weak_ultrafilter", uf, "weak_filter"),
+            ("co-independence_system", comp, "independence_system"),
+        ):
+            verdict = check_family(sys, family, kind)
+            if not verdict.holds:
+                return (tuple(sorted(uf.members)), name, verdict.violated_axiom)
+    return None
+
+
 class TestClosedFormAudits:
     """T3.5, T3.6, T3.8 and T3.9 are decided from the axioms; the brute forces are the oracles."""
 
@@ -276,14 +296,14 @@ class TestClosedFormAudits:
             for k in range(sys.max_value + 2):
                 ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
                 report = run_theorem_audit(sys, k, ["T3.5-antichain-meets-ultrafilter"])[0]
-                found = oracle_t35(sys.values, k, [uf.members for uf in ufs])
+                found = oracle_t35(sys.array.tolist(), k, [uf.members for uf in ufs])
                 if found is None:
                     assert (report.status, report.witness) == ("verified_at_scale", ())
                     continue
                 refuted += 1
                 assert report.status == "counterexample_found"
                 antichain, uf = report.witness
-                family = [m for m in oracle_k_efficient(sys.values, k) if m]
+                family = [m for m in oracle_k_efficient(sys.array.tolist(), k) if m]
                 assert set(antichain) <= set(family)
                 assert all(a & ~b and b & ~a for a, b in combinations(antichain, 2))
                 assert all(any(not (a & ~m and m & ~a) for a in antichain) for m in family), "not maximal"
@@ -317,7 +337,7 @@ class TestClosedFormAudits:
             for k in range(sys.max_value + 2):
                 ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k))
                 report = run_theorem_audit(sys, k, ["T3.6-exactly-one"])[0]
-                found = oracle_t36(sys.values, k, [uf.members for uf in ufs])
+                found = oracle_t36(sys.array.tolist(), k, [uf.members for uf in ufs])
                 if found is None:
                     assert (report.status, report.witness, report.detail) == ("verified_at_scale", (), "")
                 else:
@@ -336,16 +356,31 @@ class TestClosedFormAudits:
                     assert report.detail.startswith("vacuous")
                     continue
                 ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k - 1))
-                assert oracle_t38(sys.values, k, [uf.members for uf in ufs]) is None
+                assert oracle_t38(sys.array.tolist(), k, [uf.members for uf in ufs]) is None
                 assert report.detail == ""
 
     def test_t39_is_vacuous(self, systems):
         for sys in systems:
             for k in range(sys.max_value + 2):
                 report = run_theorem_audit(sys, k, ["T3.9-no-chain-no-ultrafilter"])[0]
-                assert next(oracle_all_chains(oracle_k_efficient(sys.values, k))) == (0,)
+                assert next(oracle_all_chains(oracle_k_efficient(sys.array.tolist(), k))) == (0,)
                 assert (report.status, report.witness) == ("verified_at_scale", ())
                 assert report.detail.startswith("vacuous")
+
+    def test_t232_matches_the_seven_checks(self):
+        """T2.32 checks only co-tangle and sigma_filter; the other five follow from the axioms."""
+        seen = set()
+        for sys in random_cut_systems(23207, 60, 7):
+            for k in range(sys.max_value + 1):
+                ufs = enumerate_families(sys, EnumerationRequest("ultrafilter", k, non_principal_only=True))
+                want = _first_of_seven_checks_failed(sys, ufs)
+                report = run_theorem_audit(sys, k, ["T2.32-equivalence-list"])[0]
+                if want is None:
+                    assert (report.status, report.witness) == ("verified_at_scale", ())
+                else:
+                    assert (report.status, report.witness) == ("counterexample_found", want)
+                seen.add((report.status, bool(ufs)))
+        assert seen == {("verified_at_scale", False), ("verified_at_scale", True), ("counterexample_found", True)}
 
     @pytest.mark.parametrize("theorem", THEOREM_IDS)
     def test_negative_bound_rejected(self, c4_edge, theorem):

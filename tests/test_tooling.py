@@ -1,8 +1,13 @@
 """Checks on the test suite's own structure and on the names the benchmark relies on."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,3 +94,15 @@ def test_library_reads_f_from_the_array_alone():
             and isinstance(node.ctx, ast.Load) and id(node) not in called
         ]
     assert not offending, f"reads of .values at {offending}"
+
+
+@pytest.mark.parametrize("workload", ["small", "scale"])
+def test_benchmark_runs_and_checks_one_cycle(workload):
+    """Each workload runs its minimum cycles with seconds 0, untraced, and every answer passes its check."""
+    argv = ["--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0, proc.stdout[-2000:]
