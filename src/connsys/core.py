@@ -57,14 +57,6 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def singletons(mask: int):
-    """Yield the set bits of mask as single-bit masks, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """An ordered, indexed universe of distinct element labels."""
@@ -119,15 +111,16 @@ def edge_cut_values(labels_count: int, vertices: int, edges: list[tuple[int, int
     """Boundary-vertex function on edge subsets: vertices incident to both sides.
 
     Values come in the narrowest unsigned dtype that holds their bound,
-    min(vertices, 2 |E|).
+    min(vertices, 2 |E|). Only the vertices that some edge touches can be on
+    a boundary, so the work does not depend on ``vertices``.
     """
-    incident = [0] * vertices  # incident[v] = mask of edges touching v
+    incident = {}  # incident[v] = mask of edges touching v
     for i, (u, v) in enumerate(edges):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
+        incident[u] = incident.get(u, 0) | 1 << i
+        incident[v] = incident.get(v, 0) | 1 << i
     idx = np.arange(1 << labels_count, dtype=np.uint32)
     values = np.zeros(1 << labels_count, dtype=np.min_scalar_type(min(vertices, 2 * len(edges))))
-    for inc in incident:
+    for inc in incident.values():
         inside = idx & inc  # edges at this vertex inside the subset; the rest are outside
         values += (inside != 0) & (inside != inc)
     return values

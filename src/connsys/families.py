@@ -6,11 +6,13 @@ over all subsets (Q4, T2, SB4, MA1, ...) are evaluated over all k-efficient
 subsets of the system. Verdicts report the first violated axiom in the
 kind's fixed order, with the lowest-bitmask witness.
 
-For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4 and T3
-are decided exactly on boolean arrays over the 2^n masks: membership,
-efficiency and the subset transform of membership. A failing axiom's
-literal scan then runs only to find the same witness. The flags that a
-report derives beside a verdict (FT1, QS1, QSD1) come from derived_flags.
+For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4, T3 and
+MA2 are decided exactly on boolean arrays over the 2^n masks: membership,
+efficiency and the subset transforms of membership. A failing axiom's
+literal scan then runs only to find the same witness. MA3 is decided at
+every size by one size comparison between members and efficient
+non-members, and fip_check by one intersection. The flags that a report
+derives beside a verdict (FT1, QS1, QSD1) come from derived_flags.
 """
 
 from __future__ import annotations
@@ -18,23 +20,21 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
+from .core import ConnectivitySystem, enumerate_k_efficient, popcount
 from .errors import (
     BoundIncrease,
     FipCrossCheckWarning,
     GroundSetMismatch,
-    GroundSetTooLargeForEnumeration,
     InternalError,
     InvalidParameter,
     NotAFilter,
 )
 
-MAJORITY_MAX_N = 8
 # Families this large are decided on membership arrays; below it the literal
 # scans are cheaper than the numpy calls.
 ARRAY_MIN_MEMBERS = 17
@@ -108,6 +108,14 @@ class _Arrays:
     def down(self) -> np.ndarray:
         """Some member is a subset of S."""
         return _subset_transform(self.mem, self.n)
+
+    @cached_property
+    def strict_down(self) -> np.ndarray:
+        """Some member is a proper subset of S: down[S - i] for some element i of S."""
+        strict = np.zeros_like(self.down)
+        for i in range(self.n):
+            strict.reshape(-1, 2, 1 << i)[:, 1] |= self.down.reshape(-1, 2, 1 << i)[:, 0]
+        return strict
 
     @cached_property
     def co_down(self) -> np.ndarray:
@@ -193,7 +201,7 @@ def _ax_q4(c: _Ctx):
 def _ax_qw1(c: _Ctx):
     for i, a in enumerate(c.sorted):
         for b in c.sorted[i:]:
-            if c.eff(a & b) and a & b == 0:
+            if a & b == 0:
                 return (a, b)
     return None
 
@@ -374,16 +382,15 @@ def _ax_ma2(c: _Ctx):
 
 
 def _ax_ma3(c: _Ctx):
+    # (a - F) | G over F inside a and G outside it is every set b once (F = a - b,
+    # G = b - a), and |F| <= |G| iff |b| >= |a|: so a fails iff some efficient
+    # non-member is at least as large, and the least (F, G) is the literal witness
+    bad = [b for b in c.keff if b not in c.members]
+    top = max(map(popcount, bad), default=-1)
     for a in c.sorted:
-        outside = c.full ^ a
-        for f_set in _submasks(a):
-            fc = popcount(f_set)
-            for g_set in _submasks(outside):
-                if fc > popcount(g_set):
-                    continue
-                moved = (a & ~f_set) | g_set
-                if c.eff(moved) and moved not in c.members:
-                    return (a, f_set, g_set)
+        size = popcount(a)
+        if size <= top:
+            return (a, *min((a & ~b, b & ~a) for b in bad if popcount(b) >= size))
     return None
 
 
@@ -423,6 +430,8 @@ _FAILS_ON_ARRAYS = {
     _ax_q1: lambda a: a.any_pair(np.bitwise_and, a.bad),
     _ax_q2: lambda a: (a.bad & a.down).any(),
     _ax_q4: lambda a: (a.bad & ~a.mem[::-1]).any(),
+    # some member lies strictly inside another's complement; [::-1][a] reads X ^ a
+    _ax_ma2: lambda a: (a.strict_down[::-1] & a.mem).any(),
     # some three members cover X iff a complement lies inside the union of two
     _ax_t3: lambda a: a.any_pair(np.bitwise_or, a.co_down),
 }
@@ -449,10 +458,6 @@ def check_family(
     _check_input(sys, fam, kind)
     if single_mode not in ("QS1", "QSD1"):
         raise InvalidParameter(f"unknown single mode {single_mode!r}; expected QS1 or QSD1")
-    if kind == "majority_system" and sys.n > gate_limit(MAJORITY_MAX_N):
-        raise GroundSetTooLargeForEnumeration(
-            f"majority_system axiom MA3 is gated to n <= {gate_limit(MAJORITY_MAX_N)}"
-        )
     c = _Ctx(sys, fam)
     axioms = _AXIOMS[kind]
     if single_mode == "QSD1":
@@ -532,16 +537,17 @@ def complement_family(fam: SetFamily) -> SetFamily:
 def fip_check(sys: ConnectivitySystem, fam: SetFamily, a_mask: int) -> bool:
     """Whether every finite intersection over the members plus a_mask is non-empty.
 
-    The literal answer is cross-checked against the complement-membership
-    route; a disagreement emits a FipCrossCheckWarning.
+    The family is finite, so this holds iff the intersection of all the
+    members and a_mask is non-empty. That answer is cross-checked against
+    the complement-membership route; a disagreement emits a
+    FipCrossCheckWarning.
     """
     if not 0 <= a_mask <= sys.full_mask:
         raise GroundSetMismatch(f"subset mask {a_mask:#x} outside an {sys.n}-element ground set")
     verdict = check_family(sys, fam, "filter")
     if not verdict.holds:
         raise NotAFilter(verdict)
-    values = _closure_values(sorted(fam.members | {a_mask}), operator.and_)
-    literal = 0 not in values
+    literal = reduce(operator.and_, fam.members, a_mask) != 0
     via_complement = (sys.full_mask ^ a_mask) not in fam.members
     if literal != via_complement:
         warnings.warn(

@@ -111,7 +111,48 @@ def oracle_family_holds(values, n, members, k, kind):
                     return False
         return True
 
+    if kind == "majority_system":
+        return oracle_majority_violation(values, n, members, k) is None
+
     raise ValueError(kind)
+
+
+def oracle_majority_violation(values, n, members, k):
+    """The first violated majority axiom and its witness, by the literal MA1-MA3 scans, or None.
+
+    MA1: of every efficient A, A or X - A is a member. MA2: two members, one
+    of them possibly both, are disjoint only when complementary. MA3: for a
+    member A, F inside A and G outside A with |F| <= |G|, an efficient
+    (A - F) | G is a member. Witnesses are the first in ascending mask order.
+    """
+    full = (1 << n) - 1
+    F = set(members)
+    ordered = sorted(F)
+
+    def submasks(mask):
+        sub = 0
+        while True:
+            yield sub
+            if sub == mask:
+                return
+            sub = (sub - mask) & mask
+
+    for A in range(1 << n):
+        if values[A] <= k and A not in F and (full ^ A) not in F:
+            return "MA1", (A, full ^ A)
+    for i, A in enumerate(ordered):
+        for B in ordered[i:]:
+            if A & B == 0 and B != full ^ A:
+                return "MA2", (A, B)
+    for A in ordered:
+        for f_set in submasks(A):
+            for g_set in submasks(full ^ A):
+                if bits(f_set) > bits(g_set):
+                    continue
+                moved = (A & ~f_set) | g_set
+                if values[moved] <= k and moved not in F:
+                    return "MA3", (A, f_set, g_set)
+    return None
 
 
 def oracle_ft1(members):
@@ -123,6 +164,16 @@ def oracle_ft1(members):
                 if F[i] & F[j] & F[l] == 0:
                     return False
     return True
+
+
+def oracle_fip(members, a_mask):
+    """Whether no intersection of some of the members and a_mask is empty, from their closure under intersection."""
+    closed = set(members) | {a_mask}
+    while True:
+        grown = {A & B for A in closed for B in closed} - closed
+        if not grown:
+            return 0 not in closed
+        closed |= grown
 
 
 def oracle_cut_values(kind, n, vertices, edges):

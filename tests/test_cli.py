@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -273,6 +274,36 @@ def test_ultrafilter_number_runs_at_the_ground_set_cap(files, capsys, monkeypatc
     for k, u in ((0, 1), (max_f, None)):  # X is the one class at k = 0; every singleton is efficient at max f
         code, report, err = run(capsys, "ultrafilter-number", inst, "-k", str(k))
         assert (code, err, report["result"]["u"]) == (0, "", u)
+
+
+@pytest.mark.parametrize("n, axiom", [(9, "MA1"), (16, "MA3")])
+def test_family_check_majority_system_above_n8(files, capsys, monkeypatch, n, axiom):
+    """majority_system has no size gate: every set of at least n/2 elements holds at k = max f."""
+    monkeypatch.delenv("CONNSYS_MAX_N", raising=False)
+    spec = seeded_cut("vertex", n, 2 * n, n)
+    inst = files(f"v{n}.json", spec)
+    k = str(load_instance(inst).max_value)
+    labels = spec["ground_set"]
+    half = [[labels[i] for i in range(n) if m >> i & 1] for m in range(1 << n) if 2 * bin(m).count("1") >= n]
+    # without its first set, the complement of that set is an efficient non-member: at odd n it is
+    # smaller and MA1 fails; at even n it is a member of the same size and MA3 fails
+    for sets, code, violated in ((half, 0, None), (half[1:], 1, axiom)):
+        fam = files("half.json", {"k": int(k), "sets": sets})
+        got, report, err = run(capsys, "family", "check", inst, "--kind", "majority_system", "-k", k, "--family", fam)
+        assert (got, err, report["result"]["violated_axiom"]) == (code, "", violated)
+
+
+def test_validate_edge_cut_ignores_isolated_vertices(files, capsys):
+    """Isolated vertices change no value, so a huge 'vertices' costs nothing."""
+    results = []
+    for vertices in (3, 10**9):
+        function = {"type": "graph_edge_cut", "vertices": vertices, "edges": [[0, 1], [1, 2]]}
+        inst = files(f"path{vertices}.json", {"ground_set": ["e0", "e1"], "function": function})
+        started = time.perf_counter()
+        code, report, err = run(capsys, "validate", inst)
+        assert time.perf_counter() - started < 1
+        results.append((code, err, report["result"], load_instance(inst).array.tolist()))
+    assert results[0] == results[1]
 
 
 def test_unknown_label_exit2(files, capsys):

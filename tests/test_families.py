@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +34,8 @@ from connsys.errors import (
 )
 from connsys.families import KINDS
 
-from .conftest import all_three_element_systems, make_table_system
-from .oracles import oracle_family_holds, oracle_ft1
+from .conftest import all_three_element_systems, make_table_system, random_cut_systems
+from .oracles import oracle_family_holds, oracle_fip, oracle_ft1, oracle_majority_violation
 
 
 def fam(members, k, n):
@@ -272,6 +273,24 @@ class TestFip:
         with pytest.warns(FipCrossCheckWarning):
             assert fip_check(sys, family, 0b001) is False
 
+    def test_matches_the_intersection_closure(self):
+        rng = random.Random(578)
+        seen = set()
+        for sys in random_cut_systems(5780, 150, 6):
+            for k in range(sys.max_value + 1):
+                seeds = [m for m in range(1, 1 << sys.n) if sys.f(m) <= k]
+                if not seeds:
+                    continue
+                principal = up_closed(sys, [rng.choice(seeds)], k)
+                for family in (principal, extend_filter_to_ultrafilter(sys, principal)):
+                    for a_mask in {rng.randrange(1 << sys.n) for _ in range(3)}:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", FipCrossCheckWarning)
+                            got = fip_check(sys, family, a_mask)
+                        assert got is oracle_fip(family.members, a_mask), (sys.spec_payload, family, a_mask)
+                        seen.add(got)
+        assert seen == {True, False}
+
 
 class TestTruncate:
     def test_truncation_to_trivial(self, c4_edge):
@@ -347,6 +366,7 @@ ARRAY_KINDS = (
     "closure_system",
     "superfilter",
     "sigma_filter",
+    "majority_system",
 )
 
 
@@ -418,7 +438,7 @@ class TestMembershipArrays:
                 if len(family) > 16 and not literal.holds:
                     failed_above_gate.add(literal.violated_axiom)
         # every array-decided axiom, under each of its labels, fails on some family above the gate
-        assert failed_above_gate >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2"}
+        assert failed_above_gate >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2", "MA2"}
 
     def test_ft1_matches_the_triple_oracle(self, cut_families):
         seen = set()
@@ -439,3 +459,56 @@ class TestMembershipArrays:
         for family in (uf, broken):
             assert derived_flags(sys, family, "ultrafilter")["FT1"] is oracle_ft1(family.members)
         assert derived_flags(sys, broken, "filter") == {"FT1": False}
+
+
+def _weighted_majority(rng, n):
+    """The sets of more than half the weight under random element weights, one side of each tie."""
+    weights = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n)]
+    full = (1 << n) - 1
+    members = set()
+    for m in range(1 << n):
+        twice = 2 * sum(w for i, w in enumerate(weights) if m >> i & 1)
+        if twice > sum(weights):
+            members.add(m)
+        elif twice == sum(weights) and m < full ^ m:
+            members.add(rng.choice((m, full ^ m)))
+    return members
+
+
+class TestMajority:
+    def test_verdicts_and_witnesses_match_the_literal_scans(self):
+        rng = random.Random(2408)
+        seen = set()
+        cases = 0
+        for sys in random_cut_systems(230, 600, 7):
+            values = sys.array.tolist()
+            k = rng.randint(0, sys.max_value)
+            base = _weighted_majority(rng, sys.n)
+            variants = [
+                base,
+                base - {rng.choice(sorted(base))},
+                base | {rng.randrange(1 << sys.n)},
+                {m for m in base if values[m] <= k},
+            ]
+            for members in variants:
+                got = check_family(sys, fam(members, k, sys.n), "majority_system")
+                want = oracle_majority_violation(values, sys.n, members, k)
+                assert (got.violated_axiom, got.witnesses) == (want or (None, ())), (sys.spec_payload, members, k)
+                seen.add((got.violated_axiom, len(members) >= families.ARRAY_MIN_MEMBERS))
+                cases += 1
+        assert cases >= 2000
+        assert seen >= {(axiom, large) for axiom in ("MA1", "MA2", "MA3", None) for large in (False, True)}
+
+    def test_every_half_or_larger_set_is_a_majority_system_at_n16(self):
+        rng = random.Random(16)
+        pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(16)], 16, rng.sample(pairs, 40))
+        k = sys.max_value
+        half = fam([m for m in range(1 << 16) if 2 * popcount(m) >= 16], k, 16)
+        assert check_family(sys, half, "majority_system").holds
+        # with one eight-element set dropped, the first eight-element member moves onto it
+        dropped = min(m for m in half.members if popcount(m) == 8)
+        rest = half.members - {dropped}
+        first = min(m for m in rest if popcount(m) == 8)
+        v = check_family(sys, fam(rest, k, 16), "majority_system")
+        assert (v.violated_axiom, v.witnesses) == ("MA3", (first, first & ~dropped, dropped & ~first))
