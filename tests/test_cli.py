@@ -58,6 +58,48 @@ def test_width_certificate_reverifies(files, capsys, tmp_path):
         assert report2["result"]["width"] == report["result"]["width"]
 
 
+def seeded_vertex_cut(n, m, seed):
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(random.Random(seed).sample(pairs, m))
+    return {"ground_set": [f"v{i}" for i in range(n)], "function": {"type": "graph_vertex_cut", "vertices": n, "edges": edges}}
+
+
+@pytest.mark.parametrize(
+    "instance, width, parents",
+    [
+        ({"ground_set": ["x"], "function": {"type": "table", "values": {"": 0, "x": 0}}}, 0, [None]),
+        (TRIVIAL2, 0, [1, None]),
+        (C4_EDGES, 2, [4, 5, 5, 4, 5, None]),
+        (
+            {
+                "ground_set": ["e1", "e2", "e3", "e4", "e5", "e6"],
+                "function": {
+                    "type": "graph_edge_cut",
+                    "vertices": 4,
+                    "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+                },
+            },
+            3,
+            [7, 8, 8, 9, 9, 6, 9, 6, 7, None],
+        ),
+        (seeded_vertex_cut(8, 12, 8008), 5, [8, 10, 12, 13, 13, 10, 11, 8, 9, 11, 9, 12, 13, None]),
+    ],
+    ids=["n1", "n2", "c4", "k4", "v8"],
+)
+def test_branch_certificate_parents_are_pinned(files, capsys, tmp_path, instance, width, parents):
+    """The emitted tree hangs from its highest node; evaluating the emitted file gives the width back."""
+    inst = files("inst.json", instance)
+    code, report, _ = run(capsys, "width", "branch", inst, "--certificate")
+    cert = report["result"]["certificate"]
+    labels = instance["ground_set"]
+    assert (code, report["result"]["width"]) == (0, width)
+    assert cert == {"type": "branch", "parents": parents, "leaves": {str(i): lab for i, lab in enumerate(labels)}}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, report, _ = run(capsys, "width", "branch", inst, "--eval-certificate", str(path))
+    assert (code, report["result"]) == (0, {"width": width, "evaluated": True})
+
+
 def test_family_check_holds(files, capsys):
     inst = files("c4.json", C4_EDGES)
     fam = files("fX.json", {"k": 1, "sets": [["e1", "e2", "e3", "e4"]]})

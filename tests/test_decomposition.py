@@ -98,6 +98,26 @@ class TestDecompositionWidth:
                 c4_edge, BranchDecomposition(4, ((0, 4), (1, 4), (4, 5), (2, 5), (3, 4)), (0, 1, 2, 3))
             )
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            # a triangle of internal nodes beside a star: degrees and edge count fit, the graph is not a tree
+            (6, ((6, 7), (7, 8), (6, 8), (0, 6), (1, 7), (2, 8), (3, 9), (4, 9), (5, 9)), "edges contain a cycle"),
+            (6, ((6, 7), (6, 7), (0, 6), (1, 7), (2, 8), (3, 8), (8, 9), (4, 9), (5, 9)), "edges contain a cycle"),
+            (4, ((0, 4), (1, 4), (2, 5), (3, 5)), "expected 5 edges, got 4"),
+            (4, ((0, 4), (0, 5), (1, 4), (2, 5), (3, 5)), "leaf node 0 has degree 2"),
+            (4, ((0, 4), (1, 5), (4, 5), (2, 5), (3, 5)), "internal node 4 has degree 2"),
+            (4, ((0, 4), (1, 4), (4, 6), (2, 6), (3, 6)), "edges must span nodes 0..2n-3 exactly"),
+            (2, ((0, 1), (0, 1)), "expected 1 edges, got 2"),
+            (1, ((0, 0),), "a single-element decomposition has no edges"),
+        ],
+        ids=["cycle", "duplicate-edge", "forest", "leaf-degree-2", "internal-degree-2", "missing-node", "n2", "n1"],
+    )
+    def test_malformed_tree_messages(self, n, edges, message):
+        with pytest.raises(MalformedTree) as exc:
+            BranchDecomposition(n, edges, tuple(range(n))).validate()
+        assert str(exc.value) == message
+
 
 class TestBranchWidth:
     def test_cardinality_example(self):
