@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys as _sys
 import time
 
@@ -53,12 +52,12 @@ from .orders import (
 )
 from .serialization import (
     audit_report_to_json,
-    certificate_from_json,
     chain_to_json,
     duality_to_json,
     dumps_report,
     family_to_json,
     flags_to_json,
+    load_certificate,
     load_family,
     load_instance,
     subset_key,
@@ -165,8 +164,7 @@ def _invalid_function(exc: FunctionViolation) -> dict:
 
 def _run_width(args, sys: ConnectivitySystem):
     if args.eval_certificate:
-        with open(args.eval_certificate) as fh:
-            cert = certificate_from_json(sys, json.load(fh), args.mode)
+        cert = load_certificate(args.eval_certificate, sys, args.mode)
         if args.mode == "branch":
             width = decomposition_width(sys, cert)
         else:
@@ -350,12 +348,6 @@ def main(argv=None) -> int:
             result, code = _HANDLERS[args.verb](args, system)
     except ConnSysError as exc:
         print(f"{type(exc).__name__}: {exc}", file=_sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"InputError: {exc}", file=_sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"InputError: malformed JSON: {exc}", file=_sys.stderr)
         return 2
     except InternalError as exc:
         print(f"InternalError: {exc}", file=_sys.stderr)

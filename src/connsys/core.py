@@ -320,7 +320,6 @@ class ConnectivitySystem:
     ground: GroundSet
     spec_kind: str
     array: np.ndarray = field(repr=False)
-    spec_payload: dict = field(default_factory=dict)
     validation: dict = field(default_factory=dict)
     widths: dict = field(default_factory=dict, repr=False)
 
@@ -355,8 +354,8 @@ class ConnectivitySystem:
         return int(self.array.max())
 
     @classmethod
-    def _build(cls, ground, values: np.ndarray, spec_kind, spec_payload) -> "ConnectivitySystem":
-        """Validate values and keep them; spec_payload() is called once they have passed."""
+    def _build(cls, ground, values: np.ndarray, spec_kind) -> "ConnectivitySystem":
+        """Validate values and keep them."""
         if values[0] != 0:
             raise NormalizationViolation(f"f(empty set) = {values[0]} but must be 0")
         if values[ground.full_mask] != 0:
@@ -366,7 +365,7 @@ class ConnectivitySystem:
         dtype = np.min_scalar_type(int(values.max()))
         array = values if values.dtype == dtype else values.astype(dtype)
         array.flags.writeable = False
-        return cls(ground, spec_kind, array, spec_payload(), info)
+        return cls(ground, spec_kind, array, info)
 
     @classmethod
     def from_table(cls, labels, table: dict) -> "ConnectivitySystem":
@@ -382,7 +381,7 @@ class ConnectivitySystem:
                 if by_mask.setdefault(mask, val) != val:
                     raise TableIncomplete(f"conflicting values for subset {ground.subset_key(mask)!r}")
         values = complete_table(ground, by_mask)
-        return cls._build(ground, values, "table", lambda: {"values": dict(by_mask)})
+        return cls._build(ground, values, "table")
 
     @classmethod
     def from_edge_cut(cls, labels, vertices: int, edges) -> "ConnectivitySystem":
@@ -392,7 +391,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per edge is required")
         _check_simple_graph(vertices, edges)
         values = edge_cut_values(ground.n, vertices, edges)
-        return cls._build(ground, values, "graph_edge_cut", lambda: {"vertices": vertices, "edges": edges})
+        return cls._build(ground, values, "graph_edge_cut")
 
     @classmethod
     def from_vertex_cut(cls, labels, vertices: int, edges) -> "ConnectivitySystem":
@@ -402,7 +401,7 @@ class ConnectivitySystem:
             raise TableIncomplete("one ground-set label per vertex is required")
         _check_simple_graph(vertices, edges)
         values = vertex_cut_values(vertices, edges)
-        return cls._build(ground, values, "graph_vertex_cut", lambda: {"vertices": vertices, "edges": edges})
+        return cls._build(ground, values, "graph_vertex_cut")
 
 
 def _check_simple_graph(vertices: int, edges) -> None:

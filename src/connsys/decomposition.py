@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .construction import EnumerationRequest, enumerate_families
@@ -55,51 +56,40 @@ class BranchDecomposition:
         for node in range(n, expected_nodes):
             if degree[node] != 3:
                 raise MalformedTree(f"internal node {node} has degree {degree[node]}")
-        # connectivity: a tree on V nodes with V-1 edges is connected iff acyclic
-        parent = list(range(expected_nodes))
+        # a graph on V nodes with V-1 edges is a tree iff it is connected
+        if len(self.parents) != expected_nodes:
+            raise MalformedTree("edges contain a cycle")
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    @functools.cached_property
+    def parents(self) -> dict[int, int | None]:
+        """The tree hung from its highest node: each node it reaches, breadth first, to its parent.
 
+        The highest node maps to None. On a tree that validate() accepts the
+        keys are every node.
+        """
+        adj: dict[int, list[int]] = {}
         for u, v in self.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise MalformedTree("edges contain a cycle")
-            parent[ru] = rv
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        root = max(adj, default=0)
+        parents = {root: None}
+        queue = [root]
+        for node in queue:
+            for other in adj.get(node, ()):
+                if other not in parents:
+                    parents[other] = node
+                    queue.append(other)
+        return parents
 
     def edge_sides(self) -> list[int]:
-        """For each edge, the element bitmask of one side of the split."""
-        if self.n == 1:
-            return []
-        adj: dict[int, list[tuple[int, int]]] = {}
-        for idx, (u, v) in enumerate(self.edges):
-            adj.setdefault(u, []).append((v, idx))
-            adj.setdefault(v, []).append((u, idx))
-        masks = [0] * len(self.edges)
-        root = self.n  # any internal node; for n == 2 fall back to leaf 1
-        if root not in adj:
-            root = 1
-        stack = [(root, -1, False)]
-        while stack:
-            node, via, done = stack.pop()
-            if done:
-                mask = 0
-                if node < self.n:
-                    mask = 1 << self.leaf_elements[node]
-                for _, idx in adj[node]:
-                    if idx != via:
-                        mask |= masks[idx]
-                if via >= 0:
-                    masks[via] = mask
-            else:
-                stack.append((node, via, True))
-                for other, idx in adj[node]:
-                    if idx != via:
-                        stack.append((other, idx, False))
-        return masks
+        """For each edge, the element bitmask of its side away from the highest node."""
+        sides = dict.fromkeys(self.parents, 0)
+        for node, element in enumerate(self.leaf_elements):
+            sides[node] = 1 << element
+        for node, parent in reversed(self.parents.items()):
+            if parent is not None:
+                sides[parent] |= sides[node]
+        return [sides[u] if self.parents[u] == v else sides[v] for u, v in self.edges]
 
 
 @dataclass(frozen=True)

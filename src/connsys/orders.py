@@ -327,7 +327,7 @@ def _family_witness(fam: SetFamily) -> tuple:
     return tuple(sorted(fam.members))
 
 
-def _audit_t35(level: _Level) -> AuditReport:
+def _audit_t35(level: _Level) -> tuple:
     """T3.5: every maximal antichain of non-empty k-efficient sets meets every ultrafilter of order k+1.
 
     The minimal non-empty efficient sets M form a maximal antichain. An
@@ -344,23 +344,12 @@ def _audit_t35(level: _Level) -> AuditReport:
     ufs = level.ultrafilters
     for uf in ufs:
         if uf.members.isdisjoint(minimal):
-            return AuditReport(
-                "T3.5-antichain-meets-ultrafilter",
-                level.instance,
-                "counterexample_found",
-                (make_antichain(level.sys, minimal, level.k).sets, _family_witness(uf)),
-                "maximal antichain disjoint from an ultrafilter",
-            )
-    return AuditReport(
-        "T3.5-antichain-meets-ultrafilter",
-        level.instance,
-        "verified_at_scale",
-        (),
-        f"{len(ufs)} ultrafilters x {len(minimal)} minimal efficient sets",
-    )
+            witness = (make_antichain(level.sys, minimal, level.k).sets, _family_witness(uf))
+            return "counterexample_found", witness, "maximal antichain disjoint from an ultrafilter"
+    return "verified_at_scale", (), f"{len(ufs)} ultrafilters x {len(minimal)} minimal efficient sets"
 
 
-def _audit_t36(level: _Level) -> AuditReport:
+def _audit_t36(level: _Level) -> tuple:
     """T3.6 as formalised: each chain of k-efficient sets meets each ultrafilter of order k+1 exactly once.
 
     The chain (empty set,) meets no ultrafilter, since none holds the empty
@@ -369,17 +358,12 @@ def _audit_t36(level: _Level) -> AuditReport:
     """
     ufs = level.ultrafilters
     if ufs:
-        return AuditReport(
-            "T3.6-exactly-one",
-            level.instance,
-            "counterexample_found",
-            ((0,), _family_witness(ufs[0])),
-            "chain has 0 members in the ultrafilter, not exactly one",
-        )
-    return AuditReport("T3.6-exactly-one", level.instance, "verified_at_scale")
+        witness = ((0,), _family_witness(ufs[0]))
+        return "counterexample_found", witness, "chain has 0 members in the ultrafilter, not exactly one"
+    return "verified_at_scale", (), ""
 
 
-def _audit_t38(level: _Level) -> AuditReport:
+def _audit_t38(level: _Level) -> tuple:
     """T3.8 as formalised: no set with f = k is a member of an ultrafilter of order k.
 
     Every member of such an ultrafilter has f <= k-1 (Q0), so the statement
@@ -387,78 +371,54 @@ def _audit_t38(level: _Level) -> AuditReport:
     ultrafilter of order 0 to test.
     """
     detail = "vacuous: no ultrafilter of order 0 is representable" if level.k == 0 else ""
-    return AuditReport("T3.8-maximal-set-exclusion", level.instance, "verified_at_scale", (), detail)
+    return "verified_at_scale", (), detail
 
 
-def _audit_t39(level: _Level) -> AuditReport:
+def _audit_t39(level: _Level) -> tuple:
     """T3.9 as formalised: if no chain of order k+1 exists, no ultrafilter of order k+1 does.
 
     The empty set alone is a chain of order k+1 at every k >= 0, so the
     hypothesis never holds.
     """
-    return AuditReport(
-        "T3.9-no-chain-no-ultrafilter",
-        level.instance,
-        "verified_at_scale",
-        (),
-        "vacuous: a chain of order k+1 always exists (the empty set alone)",
-    )
+    return "verified_at_scale", (), "vacuous: a chain of order k+1 always exists (the empty set alone)"
 
 
-def _audit_tsc_no_antichain(level: _Level) -> AuditReport:
-    seq = level.sequence_chain
-    if seq is None:
-        return AuditReport(
-            "TSC-no-antichain", level.instance, "verified_at_scale", (), "no sequence chain exists"
-        )
+def _given_a_sequence_chain(audit):
+    """An audit of a statement about a sequence chain: verified when none exists, else audit(level, chain)."""
+
+    @functools.wraps(audit)
+    def run(level: _Level) -> tuple:
+        seq = level.sequence_chain
+        if seq is None:
+            return "verified_at_scale", (), "no sequence chain exists"
+        return audit(level, seq.sets)
+
+    return run
+
+
+@_given_a_sequence_chain
+def _audit_tsc_no_antichain(level: _Level, seq: tuple) -> tuple:
     antichain = find_max_antichain(level.sys, level.k)
     if len(antichain.sets) >= 2:
-        return AuditReport(
-            "TSC-no-antichain",
-            level.instance,
-            "counterexample_found",
-            (seq.sets, antichain.sets),
-            "a sequence chain and an antichain coexist",
-        )
-    return AuditReport("TSC-no-antichain", level.instance, "verified_at_scale", (seq.sets,))
+        return "counterexample_found", (seq, antichain.sets), "a sequence chain and an antichain coexist"
+    return "verified_at_scale", (seq,), ""
 
 
-def _audit_tsc_no_nonprincipal(level: _Level) -> AuditReport:
-    seq = level.sequence_chain
-    if seq is None:
-        return AuditReport(
-            "TSC-no-nonprincipal-ultrafilter", level.instance, "verified_at_scale", (), "no sequence chain exists"
-        )
+@_given_a_sequence_chain
+def _audit_tsc_no_nonprincipal(level: _Level, seq: tuple) -> tuple:
     found = level.non_principal
     if found:
-        return AuditReport(
-            "TSC-no-nonprincipal-ultrafilter",
-            level.instance,
-            "counterexample_found",
-            (seq.sets, _family_witness(found[0])),
-            "a sequence chain and a non-principal ultrafilter coexist",
-        )
-    return AuditReport("TSC-no-nonprincipal-ultrafilter", level.instance, "verified_at_scale", (seq.sets,))
+        witness = (seq, _family_witness(found[0]))
+        return "counterexample_found", witness, "a sequence chain and a non-principal ultrafilter coexist"
+    return "verified_at_scale", (seq,), ""
 
 
-def _audit_tsc_decomposition(level: _Level) -> AuditReport:
-    seq = level.sequence_chain
-    if seq is None:
-        return AuditReport(
-            "TSC-decomposition", level.instance, "verified_at_scale", (), "no sequence chain exists"
-        )
-    result = branch_width(level.sys)
-    if result.width <= level.k:
-        return AuditReport(
-            "TSC-decomposition", level.instance, "verified_at_scale", (seq.sets,), f"width {result.width}"
-        )
-    return AuditReport(
-        "TSC-decomposition",
-        level.instance,
-        "counterexample_found",
-        (seq.sets,),
-        f"sequence chain exists but branch-width is {result.width} > {level.k}",
-    )
+@_given_a_sequence_chain
+def _audit_tsc_decomposition(level: _Level, seq: tuple) -> tuple:
+    width = branch_width(level.sys).width
+    if width <= level.k:
+        return "verified_at_scale", (seq,), f"width {width}"
+    return "counterexample_found", (seq,), f"sequence chain exists but branch-width is {width} > {level.k}"
 
 
 _EQUIVALENCE_SUBCHECKS = (
@@ -472,7 +432,7 @@ _EQUIVALENCE_SUBCHECKS = (
 )
 
 
-def _audit_t232(level: _Level) -> AuditReport:
+def _audit_t232(level: _Level) -> tuple:
     """T2.32: every non-principal ultrafilter U of order k+1 satisfies each kind of _EQUIVALENCE_SUBCHECKS.
 
     Five of the seven follow from the ultrafilter axioms Q0-Q4 (U is
@@ -493,37 +453,19 @@ def _audit_t232(level: _Level) -> AuditReport:
       empty set (IN1). An efficient subset S of X - a, for a member a, has
       the efficient complement X - S above a, a member by Q2 (IN2).
     """
-    sys = level.sys
     ufs = level.non_principal
     if not ufs:
-        return AuditReport(
-            "T2.32-equivalence-list",
-            level.instance,
-            "verified_at_scale",
-            (),
-            "vacuous: no non-principal ultrafilter exists",
-        )
+        return "verified_at_scale", (), "vacuous: no non-principal ultrafilter exists"
     for uf in ufs:
         for name, fam, kind in (("co-tangle", complement_family(uf), "tangle"), ("sigma_filter", uf, "sigma_filter")):
-            verdict = check_family(sys, fam, kind)
-            if not verdict.holds:
-                return AuditReport(
-                    "T2.32-equivalence-list",
-                    level.instance,
-                    "counterexample_found",
-                    (_family_witness(uf), name, verdict.violated_axiom),
-                    f"non-principal ultrafilter fails {name} via {verdict.violated_axiom}",
-                )
-    return AuditReport(
-        "T2.32-equivalence-list",
-        level.instance,
-        "verified_at_scale",
-        (),
-        f"{len(ufs)} non-principal ultrafilters x {len(_EQUIVALENCE_SUBCHECKS)} kinds",
-    )
+            axiom = check_family(level.sys, fam, kind).violated_axiom
+            if axiom is not None:
+                witness = (_family_witness(uf), name, axiom)
+                return "counterexample_found", witness, f"non-principal ultrafilter fails {name} via {axiom}"
+    return "verified_at_scale", (), f"{len(ufs)} non-principal ultrafilters x {len(_EQUIVALENCE_SUBCHECKS)} kinds"
 
 
-def _audit_co_tangle_filter(level: _Level) -> AuditReport:
+def _audit_co_tangle_filter(level: _Level) -> tuple:
     sys, k = level.sys, level.k
     keff = enumerate_k_efficient(sys, k)
     if len(keff) > 16:
@@ -535,17 +477,10 @@ def _audit_co_tangle_filter(level: _Level) -> AuditReport:
         fam = SetFamily(members, k, sys.n)
         if not check_family(sys, fam, "filter").holds:
             continue
-        comp = complement_family(fam)
-        verdict = check_family(sys, comp, "tangle")
-        if not verdict.holds:
-            return AuditReport(
-                "co-tangle-filter",
-                level.instance,
-                "counterexample_found",
-                (_family_witness(fam), verdict.violated_axiom),
-                f"a filter whose complement fails {verdict.violated_axiom}",
-            )
-    return AuditReport("co-tangle-filter", level.instance, "verified_at_scale")
+        axiom = check_family(sys, complement_family(fam), "tangle").violated_axiom
+        if axiom is not None:
+            return "counterexample_found", (_family_witness(fam), axiom), f"a filter whose complement fails {axiom}"
+    return "verified_at_scale", (), ""
 
 
 _AUDITS = {
@@ -577,4 +512,4 @@ def run_theorem_audit(sys: ConnectivitySystem, k: int, theorems=None) -> list[Au
     if k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")
     level = _Level(sys, k)
-    return [_AUDITS[tid](level) for tid in THEOREM_IDS if tid in selected]
+    return [AuditReport(tid, level.instance, *_AUDITS[tid](level)) for tid in THEOREM_IDS if tid in selected]

@@ -16,15 +16,25 @@ from .families import FamilyFlags, SetFamily, Verdict
 from .orders import AuditReport, Chain
 
 
-def load_instance(path: str) -> ConnectivitySystem:
+def _read_json(path: str, what: str):
+    """The JSON value in a file, read for what ("instance", "family", "certificate").
+
+    Every failure to read or parse the file is an InputError, including an
+    integer past Python's digit limit and nesting past the recursion limit.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"instance file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
-    return instance_from_dict(data)
+
+
+def load_instance(path: str) -> ConnectivitySystem:
+    return instance_from_dict(_read_json(path, "instance"))
 
 
 def instance_from_dict(data: dict) -> ConnectivitySystem:
@@ -65,14 +75,7 @@ def instance_from_dict(data: dict) -> ConnectivitySystem:
 
 
 def load_family(path: str, sys: ConnectivitySystem, k: int | None = None) -> SetFamily:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"family file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON in {path}: {exc}") from None
-    return family_from_dict(data, sys, k=k)
+    return family_from_dict(_read_json(path, "family"), sys, k=k)
 
 
 def family_from_dict(data: dict, sys: ConnectivitySystem, k: int | None = None) -> SetFamily:
@@ -130,25 +133,8 @@ def flags_to_json(flags: FamilyFlags) -> dict:
 
 
 def branch_to_json(sys: ConnectivitySystem, d: BranchDecomposition) -> dict:
-    n = d.n
-    if n == 1:
-        return {"type": "branch", "parents": [None], "leaves": {"0": sys.ground.labels[d.leaf_elements[0]]}}
-    adj: dict[int, list[int]] = {}
-    for u, v in d.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    root = max(adj)  # last internal node for n >= 3, leaf 1 for n == 2
-    parents: list[int | None] = [None] * (2 * n - 2 if n >= 3 else 2)
-    seen = {root}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for other in sorted(adj[node]):
-            if other not in seen:
-                seen.add(other)
-                parents[other] = node
-                stack.append(other)
-    leaves = {str(i): sys.ground.labels[d.leaf_elements[i]] for i in range(n)}
+    parents = [d.parents[node] for node in range(len(d.parents))]
+    leaves = {str(i): sys.ground.labels[e] for i, e in enumerate(d.leaf_elements)}
     return {"type": "branch", "parents": parents, "leaves": leaves}
 
 
@@ -205,6 +191,10 @@ def certificate_to_json(sys: ConnectivitySystem, cert) -> dict:
     if isinstance(cert, LinearOrdering):
         return linear_to_json(sys, cert)
     raise TypeError(f"not a certificate: {cert!r}")
+
+
+def load_certificate(path: str, sys: ConnectivitySystem, kind: str):
+    return certificate_from_json(sys, _read_json(path, "certificate"), kind)
 
 
 def certificate_from_json(sys: ConnectivitySystem, data: dict, kind: str):

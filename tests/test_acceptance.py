@@ -111,7 +111,7 @@ def test_criterion_02_axiom_oracle_equivalence():
                 for kind in kinds:
                     got = check_family(sys, fam, kind).holds
                     want = oracle_family_holds(sys.array.tolist(), 3, members, k, kind)
-                    assert got == want, (sys.spec_payload, k, members, kind)
+                    assert got == want, (sys.spec_kind, sys.n, k, members, kind)
                     compared += 1
     report(
         f"PASS criterion 2: check_family matches the literal re-quantifier on "
@@ -129,7 +129,7 @@ def test_criterion_03_ultrafilter_branch_width_duality():
                 sys, EnumerationRequest("ultrafilter", k, non_principal_only=True, limit=1)
             )
             exists = bool(found)
-            assert exists == (width > k), (sys.spec_payload, k, width)
+            assert exists == (width > k), (sys.spec_kind, sys.n, k, width)
             if exists:
                 assert check_family(sys, found[0], "ultrafilter").holds
                 assert classify_family(sys, found[0]).non_principal == "yes"
@@ -152,7 +152,7 @@ def test_criterion_04_tangle_duality():
             if k == 0:
                 k0_records.append(exists == (width > 0))
                 continue
-            assert exists == (width > k), (sys.spec_payload, k, width)
+            assert exists == (width > k), (sys.spec_kind, sys.n, k, width)
             checked += 1
     agree = sum(k0_records)
     report(
@@ -172,7 +172,7 @@ def test_criterion_05_linear_width_single_ultrafilter_duality():
                 EnumerationRequest("single_ultrafilter", k, non_principal_only=True, limit=1),
             )
             exists = bool(found)
-            assert exists == (width > k), (sys.spec_payload, k, width)
+            assert exists == (width > k), (sys.spec_kind, sys.n, k, width)
             checked += 1
     report(
         f"PASS criterion 5: linear-width/single-ultrafilter duality on "
@@ -212,7 +212,7 @@ def test_criterion_07_construction_algorithm():
         for k in range(sys.max_value + 1):
             fam, ops = construct_ultrafilter_with_stats(sys, k)
             assert check_family(sys, fam, "ultrafilter").holds
-            assert ops <= budget, (sys.spec_payload, k, ops, budget)
+            assert ops <= budget, (sys.spec_kind, sys.n, k, ops, budget)
             built += 1
     report(
         f"PASS criterion 7: construct_ultrafilter verified with operation counts "

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -61,7 +62,8 @@ def test_width_certificate_reverifies(files, capsys, tmp_path):
 def seeded_vertex_cut(n, m, seed):
     pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
     edges = sorted(random.Random(seed).sample(pairs, m))
-    return {"ground_set": [f"v{i}" for i in range(n)], "function": {"type": "graph_vertex_cut", "vertices": n, "edges": edges}}
+    function = {"type": "graph_vertex_cut", "vertices": n, "edges": edges}
+    return {"ground_set": [f"v{i}" for i in range(n)], "function": function}
 
 
 @pytest.mark.parametrize(
@@ -646,6 +648,56 @@ def test_internal_error_exit3(files, capsys, monkeypatch, failure):
     assert (code, report) == (3, None)
     assert err.startswith("InternalError: ") and err.count("\n") == 1, err
     assert ("T2" if failure == "verdict" else "ValueError: unexpected") in err
+
+
+# For each kind of input file: a file holding an integer past Python's 4,300-digit
+# conversion limit, written by hand since json.dumps cannot write one, and the
+# command line that reads the file at {path}.
+INPUT_FILES = {
+    "instance": (
+        '{"ground_set": ["a"], "function": {"type": "graph_vertex_cut", "vertices": HUGE, "edges": []}}',
+        ["validate", "{path}"],
+    ),
+    "family": ('{"k": HUGE, "sets": []}', ["extend", "{c4}", "--family", "{path}"]),
+    "certificate": (
+        '{"type": "branch", "parents": [HUGE]}',
+        ["width", "branch", "{c4}", "--eval-certificate", "{path}"],
+    ),
+}
+DIGIT_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
+@pytest.mark.parametrize("what", list(INPUT_FILES))
+@pytest.mark.parametrize("problem", ["missing", "directory", "invalid-utf8", "empty", "huge-integer", "deep-nesting"])
+def test_unreadable_input_file_exit2(files, capsys, tmp_path, what, problem):
+    """Every input file that cannot be read or parsed gives one InputError line, exit 2 and no report."""
+    huge, argv = INPUT_FILES[what]
+    path = tmp_path / "input.json"
+    if problem == "directory":
+        path.mkdir()
+    elif problem != "missing":
+        contents = {
+            "invalid-utf8": b'{"k": 1, "sets": ["\xff"]}',
+            "empty": b"",
+            "huge-integer": huge.replace("HUGE", "9" * 5000).encode(),
+            "deep-nesting": b"[" * 100_000,
+        }
+        path.write_bytes(contents[problem])
+    message = {
+        "missing": f"{what} file not found: {path}",
+        "directory": f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(path)!r}",
+        "invalid-utf8": "'utf-8' codec can't decode byte 0xff in position 19: invalid start byte",
+        "empty": f"malformed JSON in {path}: Expecting value: line 1 column 1 (char 0)",
+        "huge-integer": f"malformed JSON in {path}: {DIGIT_LIMIT}",
+        "deep-nesting": f"malformed JSON in {path}: maximum recursion depth exceeded while decoding a JSON array "
+        "from a unicode string",
+    }[problem]
+    c4 = files("c4.json", C4_EDGES)
+    code, report, err = run(capsys, *(arg.format(path=path, c4=c4) for arg in argv))
+    assert (code, report, err) == (2, None, f"InputError: {message}\n")
 
 
 def test_unreadable_instance_exit2(tmp_path, capsys):

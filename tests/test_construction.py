@@ -82,7 +82,7 @@ class TestEnumerate:
                         if oracle_family_holds(sys.array.tolist(), 3, members, k, kind):
                             want.append(members)
                     want.sort(key=lambda F: [m not in F for m in keff])
-                    assert got == want, (sys.spec_payload, k, kind)
+                    assert got == want, (sys.spec_kind, sys.n, k, kind)
 
     def test_tangle_completeness_against_brute_force_at_n4(self):
         """Every family of efficient sets, at each k where there are 6 to 12 of them."""
@@ -101,7 +101,7 @@ class TestEnumerate:
                         want.append(members)
                 want.sort(key=lambda F: [m not in F for m in keff])
                 got = [f.members for f in enumerate_families(sys, EnumerationRequest("tangle", k))]
-                assert got == want, (sys.spec_payload, k)
+                assert got == want, (sys.spec_kind, sys.n, k)
                 counts[min(len(got), 2)] += 1
         assert counts[0] and counts[1] and counts[2], counts
 
@@ -203,11 +203,11 @@ def test_construct_and_extend_follow_the_greedy_rules():
         sys = random_cut_system(rng, 7)
         for k in range(sys.max_value + 1):
             want = oracle_greedy_ultrafilter(sys.array.tolist(), sys.n, k, None)
-            assert construct_ultrafilter(sys, k).members == want, (sys.spec_payload, k)
+            assert construct_ultrafilter(sys, k).members == want, (sys.spec_kind, sys.n, k)
             keff = [m for m in range(1, 1 << sys.n) if sys.f(m) <= k]
             base = up_closed(sys, [rng.choice(keff)], k)
             want = oracle_greedy_ultrafilter(sys.array.tolist(), sys.n, k, base.members)
-            assert extend_filter_to_ultrafilter(sys, base).members == want, (sys.spec_payload, k)
+            assert extend_filter_to_ultrafilter(sys, base).members == want, (sys.spec_kind, sys.n, k)
 
 
 def test_propagation_reaches_the_least_fixpoint(monkeypatch):
@@ -222,9 +222,9 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         seeds_in, seeds_out = sorted(decided(self, _IN)) + queue, sorted(decided(self, _OUT))
         want = oracle_closure(self.sys.array.tolist(), self.sys.n, self.k, self.kind, seeds_in, seeds_out)
         ok = real(self, queue)
-        assert ok == (want is not None), (self.sys.spec_payload, self.k, self.kind, seeds_in, seeds_out)
+        assert ok == (want is not None), (self.sys.spec_kind, self.sys.n, self.k, self.kind, seeds_in, seeds_out)
         if ok:
-            assert (decided(self, _IN), decided(self, _OUT)) == want, (self.sys.spec_payload, self.k, self.kind)
+            assert (decided(self, _IN), decided(self, _OUT)) == want, (self.sys.spec_kind, self.sys.n, self.k, self.kind)
         checked[self.kind, ok] += 1
         return ok
 
@@ -236,10 +236,10 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         seeds_out = [self.sys.full_mask ^ m for m in seeds_in]
         want = oracle_closure(self.sys.array.tolist(), self.sys.n, self.k, "tangle", seeds_in, seeds_out)
         closed = real_close(self, ins, new)
-        assert (closed is not None) == (want is not None), (self.sys.spec_payload, self.k, seeds_in)
+        assert (closed is not None) == (want is not None), (self.sys.spec_kind, self.sys.n, self.k, seeds_in)
         if closed is not None:
             got = tuple({m for m in range(1 << self.sys.n) if bits >> m & 1} for bits in closed)
-            assert got == want, (self.sys.spec_payload, self.k)
+            assert got == want, (self.sys.spec_kind, self.sys.n, self.k)
         checked["tangle", closed is not None] += 1
         return closed
 
@@ -455,7 +455,7 @@ class TestUltrafilterNumber:
                 assert (got.u, witness.members if witness else None) == (
                     want[0],
                     None if want[1] is None else frozenset([want[1]]),
-                ), (sys.spec_payload, k)
+                ), (sys.spec_kind, sys.n, k)
                 levels += 1
                 generated += got.u == 1
         assert (levels, generated) == (879, 264)

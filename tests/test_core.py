@@ -172,7 +172,7 @@ def test_enumerate_matches_oracle_at_every_k(seeded_cut_systems):
     for sys in seeded_cut_systems + [wide]:
         assert sys.array.dtype == (np.uint16 if sys is wide else np.uint8)
         for k in [*range(-1, sys.max_value + 2), 256, 2**70]:
-            assert enumerate_k_efficient(sys, k) == oracle_k_efficient(sys.array.tolist(), k), (sys.spec_payload, k)
+            assert enumerate_k_efficient(sys, k) == oracle_k_efficient(sys.array.tolist(), k), (sys.spec_kind, sys.n, k)
 
 
 def test_value_array_is_read_only_and_outside_equality(c4_vertex):

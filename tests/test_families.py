@@ -287,7 +287,7 @@ class TestFip:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore", FipCrossCheckWarning)
                             got = fip_check(sys, family, a_mask)
-                        assert got is oracle_fip(family.members, a_mask), (sys.spec_payload, family, a_mask)
+                        assert got is oracle_fip(family.members, a_mask), (sys.spec_kind, sys.n, family, a_mask)
                         seen.add(got)
         assert seen == {True, False}
 
@@ -434,7 +434,7 @@ class TestMembershipArrays:
                 on_arrays = check_family(sys, family, kind)
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", (1 << sys.n) + 1)
                 literal = check_family(sys, family, kind)
-                assert on_arrays == literal, (sys.spec_payload, family, kind)
+                assert on_arrays == literal, (sys.spec_kind, sys.n, family, kind)
                 if len(family) > 16 and not literal.holds:
                     failed_above_gate.add(literal.violated_axiom)
         # every array-decided axiom, under each of its labels, fails on some family above the gate
@@ -444,7 +444,7 @@ class TestMembershipArrays:
         seen = set()
         for sys, family in cut_families:
             want = oracle_ft1(family.members)
-            assert derived_flags(sys, family, "filter")["FT1"] is want, (sys.spec_payload, family)
+            assert derived_flags(sys, family, "filter")["FT1"] is want, (sys.spec_kind, sys.n, family)
             seen.add((want, len(family) > 64))
         assert seen == {(True, False), (False, False), (True, True), (False, True)}
 
@@ -493,7 +493,7 @@ class TestMajority:
             for members in variants:
                 got = check_family(sys, fam(members, k, sys.n), "majority_system")
                 want = oracle_majority_violation(values, sys.n, members, k)
-                assert (got.violated_axiom, got.witnesses) == (want or (None, ())), (sys.spec_payload, members, k)
+                assert (got.violated_axiom, got.witnesses) == (want or (None, ())), (sys.spec_kind, sys.n, members, k)
                 seen.add((got.violated_axiom, len(members) >= families.ARRAY_MIN_MEMBERS))
                 cases += 1
         assert cases >= 2000

@@ -138,7 +138,7 @@ class TestSequenceChain:
             for k in [*range(-1, sys.max_value + 2), 256]:
                 got = find_sequence_chain(sys, k)
                 want = oracle_sequence_chain(sys.array.tolist(), sys.n, k)
-                assert (got.sets if got else None) == want, (sys.spec_payload, k)
+                assert (got.sets if got else None) == want, (sys.spec_kind, sys.n, k)
 
 
 class TestChainOps:

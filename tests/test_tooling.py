@@ -96,6 +96,28 @@ def test_library_reads_f_from_the_array_alone():
     assert not offending, f"reads of .values at {offending}"
 
 
+def test_one_file_reader_and_one_audit_report_builder():
+    """Only serialization._read_json opens a file or parses JSON, and only run_theorem_audit builds an AuditReport."""
+    owners = {
+        "open": ("serialization.py", "_read_json"),
+        "json.load": ("serialization.py", "_read_json"),
+        "json.loads": ("serialization.py", "_read_json"),
+        "AuditReport": ("orders.py", "run_theorem_audit"),
+    }
+    offending, seen = [], set()
+    for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = path.name, getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = ast.unparse(node.func) if isinstance(node, ast.Call) else None
+                if name in owners:
+                    seen.add(name)
+                    if owners[name] != owner:
+                        offending.append(f"{path.name}:{node.lineno} calls {name}")
+    assert not offending, offending
+    assert seen == {"open", "json.load", "AuditReport"}
+
+
 @pytest.mark.parametrize("workload", ["small", "scale"])
 def test_benchmark_runs_and_checks_one_cycle(workload):
     """Each workload runs its minimum cycles with seconds 0, untraced, and every answer passes its check."""
