@@ -215,6 +215,14 @@ class TestTheoremAudits:
         assert finding.status == "counterexample_found"
         assert finding.witness[1] == (0b01, 0b10)
 
+    def test_tsc_audits_without_a_sequence_chain(self, c4_edge):
+        """Every singleton of the 4-cycle has f = 2, so no sequence chain exists at k <= 1."""
+        for k in (0, 1):
+            reports = [r for r in run_theorem_audit(c4_edge, k) if r.theorem_id.startswith("TSC-")]
+            assert [(r.status, r.witness, r.detail) for r in reports] == [
+                ("verified_at_scale", (), "no sequence chain exists")
+            ] * 3
+
     def test_reports_in_fixed_order(self, trivial2):
         reports = run_theorem_audit(trivial2, 0)
         assert tuple(r.theorem_id for r in reports) == THEOREM_IDS
