@@ -96,7 +96,7 @@ def test_library_reads_f_from_the_array_alone():
     assert not offending, f"reads of .values at {offending}"
 
 
-def test_one_file_reader_and_one_audit_report_builder():
+def test_files_are_read_and_audit_reports_made_in_one_place():
     """Only serialization._read_json opens a file or parses JSON, and only run_theorem_audit builds an AuditReport."""
     owners = {
         "open": ("serialization.py", "_read_json"),
