@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -17,7 +16,8 @@ from .errors import (
     InvalidParameter,
     NotAFilter,
 )
-from .families import SetFamily, _closure_values, _subset_transform, check_family
+from .families import SetFamily, _closure_values, check_family
+from .families import _bitset, _down, _element_bitsets, _masks, _pack, _reverse, _strict_down, _up  # 2^n-bit sets
 
 ENUMERATION_MAX_N = 8
 OPERATION_BUDGET_FACTOR = 64
@@ -136,15 +136,14 @@ class _PairSearch:
         del self.trail[mark[0] :]
         del self.ins[mark[1] :]
 
-    def _set_out(self, mask: int, queue: list[int]) -> bool:
+    def _set_out(self, mask: int) -> bool:
+        """Put mask out unless it is in; the caller puts its complement in."""
         state = self.state
         if state[mask] == _IN:
             return False
-        if state[mask] != _UNKNOWN:
-            return True  # already out, or never a member
-        state[mask] = _OUT
-        self.trail.append(mask)
-        queue.append(self.full ^ mask)  # the pair must still be decided
+        if state[mask] == _UNKNOWN:
+            state[mask] = _OUT
+            self.trail.append(mask)
         return True
 
     def _propagate(self, queue: list[int]) -> bool:
@@ -161,7 +160,7 @@ class _PairSearch:
             self.trail.append(s)
             ins.append(s)
             self.ops += 1
-            if kind == "ultrafilter" and not self._set_out(full ^ s, queue):
+            if kind == "ultrafilter" and not self._set_out(full ^ s):
                 return False
             r = root.get(s)
             rests = ()
@@ -215,9 +214,9 @@ class _PairSearch:
         mask = keff[pos]
         for branch in (_IN, _OUT):
             mark = self._mark()
-            queue = [mask] if branch == _IN else []
+            queue = [mask] if branch == _IN else [self.full ^ mask]
             if branch == _OUT:
-                self._set_out(mask, queue)  # mask is undecided, so this cannot fail
+                self._set_out(mask)  # mask is undecided, so this cannot fail
             stop = self._propagate(queue) and not self._dfs(pos + 1, results, non_principal_only, limit)
             self._undo(mark)
             if stop:
@@ -225,27 +224,11 @@ class _PairSearch:
         return True
 
 
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-@functools.cache
-def _element_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each element i, the 2^n-bit sets of the masks that hold i and of those that lack it."""
-    size = max(1, (1 << n) // 8)
-    every = (1 << (1 << n)) - 1
-    has = []
-    for i in range(n):
-        if i < 3:
-            pattern = bytes([(0xAA, 0xCC, 0xF0)[i]]) * size
-        else:
-            run = 1 << (i - 3)
-            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
-        has.append(int.from_bytes(pattern, "little") & every)
-    return tuple(has), tuple(every ^ h for h in has)
-
-
 class _TangleSearch:
     """Tangle decisions on two bitsets over all 2^n masks, in which bit c stands for mask c.
+
+    The 2^n-bit helpers (``_element_bitsets``, ``_reverse``, ``_down``,
+    ``_strict_down``, ``_masks``) are those that ``check_family`` decides on.
 
     ``ins`` holds the members and ``outs`` the sets put out. A member's
     complement goes out, and an out set's complement goes in, so at every
@@ -274,52 +257,24 @@ class _TangleSearch:
     def __init__(self, sys: ConnectivitySystem, k: int):
         self.sys = sys
         self.k = k
-        self.has, self.lack = _element_bitsets(sys.n)
-        self.size = max(1, (1 << sys.n) // 8)
-        self.pad = 8 * self.size - (1 << sys.n)
-        self.eff = int.from_bytes(np.packbits(sys.array <= k, bitorder="little").tobytes(), "little")
+        self.eff = _pack(sys.array <= k)
         self.ops = 0
-
-    def _reverse(self, bits: int) -> int:
-        """Bit c moved to bit full ^ c: the complement of every set."""
-        raw = bits.to_bytes(self.size, "little").translate(_REVERSED_BYTE)
-        return int.from_bytes(raw, "big") >> self.pad
-
-    def _masks(self, bits: int) -> list[int]:
-        """The masks whose bits are set, ascending."""
-        if bits.bit_count() < 32:
-            out = []
-            while bits:
-                low = bits & -bits
-                out.append(low.bit_length() - 1)
-                bits ^= low
-            return out
-        raw = np.frombuffer(bits.to_bytes(self.size, "little"), np.uint8)
-        return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
-
-    def _down(self, bits: int) -> int:
-        """Every subset of every set in bits."""
-        for i, h in enumerate(self.has):
-            bits |= (bits & h) >> (1 << i)
-        return bits
 
     def _close(self, ins: int, new: int) -> tuple[int, int] | None:
         """(ins, outs) at the least fixpoint over the members ins, of which new are unpaired; None on a conflict."""
-        has, lack = self.has, self.lack
+        n = self.sys.n
+        has, lack = _element_bitsets(n)
         while True:
-            outs = self._reverse(ins)
+            outs = _reverse(ins, n)
             if ins & outs:
                 return None
             if not new:
                 return ins, outs
             self.ops += new.bit_count()
             # a member inside another member only makes unions inside that member's
-            inside = 0
-            for i, h in enumerate(has):
-                inside |= (ins & h) >> (1 << i)
-            inside = self._down(inside)
+            inside = _strict_down(ins, n)
             unions = 0
-            for s in self._masks(new & ~inside):
+            for s in _masks(new & ~inside, n):
                 folded = ins
                 for i in range(s.bit_length()):
                     if s >> i & 1:
@@ -327,7 +282,7 @@ class _TangleSearch:
                 self.ops += s.bit_count()
                 unions |= folded
             self.ops += 3
-            new = (self._down(unions) & self.eff | ins) ^ ins
+            new = (_down(unions, n) & self.eff | ins) ^ ins
             ins |= new
 
     def run(self, non_principal_only: bool, limit: int | None) -> list[SetFamily]:
@@ -343,7 +298,7 @@ class _TangleSearch:
         """Complete the decisions from the state (ins, outs); False once limit families are found."""
         undecided = self.eff & ~(ins | outs)
         if not undecided:
-            return _record(self, self._masks(ins), results, non_principal_only, limit)
+            return _record(self, _masks(ins, self.sys.n), results, non_principal_only, limit)
         mask = (undecided & -undecided).bit_length() - 1
         for side in (mask, self.sys.full_mask ^ mask):
             closed = self._close(ins | 1 << side, 1 << side)
@@ -489,10 +444,8 @@ def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResu
 
 def _up_closure(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
     """The k-efficient supersets of the members."""
-    marked = np.zeros(1 << sys.n, dtype=bool)
-    marked[list(fam.members)] = True
-    members = np.flatnonzero(_subset_transform(marked, sys.n) & (sys.array <= fam.k)).tolist()
-    return SetFamily(frozenset(members), fam.k, sys.n)
+    members = _up(_bitset(fam.members, sys.n), sys.n) & _pack(sys.array <= fam.k)
+    return SetFamily(frozenset(_masks(members, sys.n)), fam.k, sys.n)
 
 
 def generated_filter_of_prefilter(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:

@@ -7,8 +7,8 @@ subsets of the system. Verdicts report the first violated axiom in the
 kind's fixed order, with the lowest-bitmask witness.
 
 For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4, T3 and
-MA2 are decided exactly on boolean arrays over the 2^n masks: membership,
-efficiency and the subset transforms of membership. A failing axiom's
+MA2 are decided exactly on 2^n-bit integers, bit c for mask c: membership,
+efficiency and their closures up, down and by complement. A failing axiom's
 literal scan then runs only to find the same witness. MA3 is decided at
 every size by one size comparison between members and efficient
 non-members, and fip_check by one intersection. The flags that a report
@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -84,47 +84,94 @@ class FamilyFlags:
     uniform: bool
 
 
-def _subset_transform(marked: np.ndarray, n: int) -> np.ndarray:
-    """down[S]: some marked mask is a subset of S (the zeta transform over OR)."""
-    down = marked.copy()
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+@cache
+def _element_bitsets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each element i, the 2^n-bit sets of the masks that hold i and of those that lack it."""
+    size, every = max(1, (1 << n) // 8), (1 << (1 << n)) - 1
+    has = []
     for i in range(n):
-        cube = down.reshape(-1, 2, 1 << i)  # axis 1 is bit i
-        cube[:, 1] |= cube[:, 0]
-    return down
+        run = bytes([(0xAA, 0xCC, 0xF0)[i]]) if i < 3 else bytes(1 << i - 3) + b"\xff" * (1 << i - 3)
+        has.append(int.from_bytes(run * (size // len(run)), "little") & every)
+    return tuple(has), tuple(every ^ h for h in has)
+
+
+def _pack(marked: np.ndarray) -> int:
+    """The bitset, bit c for mask c, of a boolean array over the 2^n masks."""
+    return int.from_bytes(np.packbits(marked, bitorder="little").tobytes(), "little")
+
+
+def _bitset(masks, n: int) -> int:
+    marked = np.zeros(1 << n, dtype=bool)
+    marked[list(masks)] = True
+    return _pack(marked)
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    raw = np.frombuffer(bits.to_bytes(max(1, (1 << n) // 8), "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: 1 << n].view(bool)
+
+
+def _masks(bits: int, n: int) -> list[int]:
+    """The masks whose bits are set, ascending."""
+    if bits.bit_count() < 32:
+        out = []
+        while bits:
+            out.append((bits & -bits).bit_length() - 1)
+            bits &= bits - 1
+        return out
+    return np.flatnonzero(_unpack(bits, n)).tolist()
+
+
+def _up(bits: int, n: int) -> int:
+    """Every superset of every set in bits."""
+    for i, lack in enumerate(_element_bitsets(n)[1]):
+        bits |= (bits & lack) << (1 << i)
+    return bits
+
+
+def _down(bits: int, n: int) -> int:
+    """Every subset of every set in bits."""
+    for i, has in enumerate(_element_bitsets(n)[0]):
+        bits |= (bits & has) >> (1 << i)
+    return bits
+
+
+def _strict_down(bits: int, n: int) -> int:
+    """Every proper subset of every set in bits."""
+    has = _element_bitsets(n)[0]
+    return _down(reduce(operator.or_, [(bits & h) >> (1 << i) for i, h in enumerate(has)], 0), n)
+
+
+def _reverse(bits: int, n: int) -> int:
+    """Bit c moved to bit X ^ c: the complement of every set."""
+    size = max(1, (1 << n) // 8)
+    raw = bits.to_bytes(size, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(raw, "big") >> (8 * size - (1 << n))
 
 
 class _Arrays:
-    """Boolean arrays over the 2^n masks for one family at one bound."""
+    """One family at one bound as 2^n-bit sets, bit c for mask c.
 
-    def __init__(self, eff: np.ndarray, members: list[int], n: int):
+    ``eff`` holds the efficient sets, ``mem`` the members and ``bad`` the
+    efficient non-members. The closures that an axiom needs take n
+    shift-ORs each and are made only when that axiom is reached; a pair
+    axiom unpacks only the set it gathers from.
+    """
+
+    def __init__(self, eff: int, members: list[int], n: int):
         self.n = n
         self.eff = eff
-        self.members = np.array(members, dtype=np.int64)
-        self.mem = np.zeros(eff.shape, dtype=bool)
-        self.mem[self.members] = True
-        self.bad = eff & ~self.mem  # efficient non-members
+        self.members = members
+        self.mem = _bitset(members, n)
+        self.bad = eff & ~self.mem
 
-    @cached_property
-    def down(self) -> np.ndarray:
-        """Some member is a subset of S."""
-        return _subset_transform(self.mem, self.n)
-
-    @cached_property
-    def strict_down(self) -> np.ndarray:
-        """Some member is a proper subset of S: down[S - i] for some element i of S."""
-        strict = np.zeros_like(self.down)
-        for i in range(self.n):
-            strict.reshape(-1, 2, 1 << i)[:, 1] |= self.down.reshape(-1, 2, 1 << i)[:, 0]
-        return strict
-
-    @cached_property
-    def co_down(self) -> np.ndarray:
-        """The complement of some member is a subset of S."""
-        return _subset_transform(self.mem[::-1], self.n)
-
-    def any_pair(self, op, table: np.ndarray) -> bool:
-        """Whether table[op(a, b)] holds for some members a, b."""
-        arr = self.members
+    def any_pair(self, op, bits: int) -> bool:
+        """Whether op(a, b) is in bits for some members a, b."""
+        table = _unpack(bits, self.n)
+        arr = np.array(self.members, dtype=np.int64)
         rows = max(1, (1 << 18) // max(1, len(arr)))  # about 2^18 pair elements per step
         for r in range(0, len(arr), rows):
             # rows r.. against columns r.. covers every unordered pair once or twice
@@ -143,7 +190,7 @@ class _Ctx:
         self.sorted = fam.sorted_members()
         self.arrays = None
         if len(fam.members) >= ARRAY_MIN_MEMBERS:
-            self.arrays = _Arrays(sys.array <= fam.k, self.sorted, sys.n)
+            self.arrays = _Arrays(_pack(sys.array <= fam.k), self.sorted, sys.n)
         self.f = sys.array.data  # indexing the buffer gives Python ints, without numpy's per-item call
 
     @cached_property
@@ -426,14 +473,14 @@ KINDS = tuple(_AXIOMS)
 # Whole-array decisions: each is true exactly when the scan it is keyed by
 # finds a witness, so that scan runs only to produce the witness.
 _FAILS_ON_ARRAYS = {
-    _ax_q0: lambda a: (a.mem & ~a.eff).any(),
+    _ax_q0: lambda a: a.mem & ~a.eff,
     _ax_q1: lambda a: a.any_pair(np.bitwise_and, a.bad),
-    _ax_q2: lambda a: (a.bad & a.down).any(),
-    _ax_q4: lambda a: (a.bad & ~a.mem[::-1]).any(),
-    # some member lies strictly inside another's complement; [::-1][a] reads X ^ a
-    _ax_ma2: lambda a: (a.strict_down[::-1] & a.mem).any(),
+    _ax_q2: lambda a: a.bad & _up(a.mem, a.n),
+    _ax_q4: lambda a: a.bad & ~_reverse(a.mem, a.n),
+    # some member lies strictly inside another's complement
+    _ax_ma2: lambda a: _strict_down(_reverse(a.mem, a.n), a.n) & a.mem,
     # some three members cover X iff a complement lies inside the union of two
-    _ax_t3: lambda a: a.any_pair(np.bitwise_or, a.co_down),
+    _ax_t3: lambda a: a.any_pair(np.bitwise_or, _up(_reverse(a.mem, a.n), a.n)),
 }
 
 
@@ -502,9 +549,9 @@ def derived_flags(sys: ConnectivitySystem, fam: SetFamily, kind: str) -> dict:
     """
     _check_input(sys, fam, kind)
     if kind in ("filter", "ultrafilter"):
-        arrays = _Arrays(sys.array <= fam.k, fam.sorted_members(), sys.n)
-        # a & b & d = 0 iff d lies inside X - (a & b); down[::-1][S] is down[X ^ S]
-        return {"FT1": not (arrays.down[::-1] & (_meet_counts(arrays.mem, sys.n) > 0)).any()}
+        n, mem = sys.n, _bitset(fam.members, sys.n)
+        # a & b & d = 0 iff d lies inside X - (a & b), that is, iff _reverse(_up(mem)) holds a & b
+        return {"FT1": not _reverse(_up(mem, n), n) & _pack(_meet_counts(_unpack(mem, n), n) > 0)}
     if kind in ("single_filter", "single_ultrafilter"):
         c = _Ctx(sys, fam)
         return {"QS1": _ax_qs1(c) is None, "QSD1": _ax_qsd1(c) is None}

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -373,7 +375,7 @@ ARRAY_KINDS = (
 def _random_cut_system(rng, n, vertex_cut):
     if vertex_cut:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        edges = rng.sample(pairs, rng.randint(n - 1, 2 * n))
+        edges = rng.sample(pairs, min(len(pairs), rng.randint(n - 1, 2 * n)))
         return ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, edges)
     vertices = rng.randint(5, 6)
     pairs = [(a, b) for a in range(vertices) for b in range(a + 1, vertices)]
@@ -393,12 +395,15 @@ def _perturbed(sys, members, k, rng):
     return copies
 
 
-@pytest.fixture(scope="module")
-def cut_families():
-    """Seeded vertex- and edge-cut systems, n = 5..8, with found families and perturbed copies at every k."""
-    rng = random.Random(20240607)
+def _principal(sys, seed, k):
+    values = sys.array.tolist()
+    return SetFamily(frozenset(m for m in range(1 << sys.n) if values[m] <= k and m & seed == seed), k, sys.n)
+
+
+def _cut_family_cases(rng, sizes):
+    """Seeded vertex- and edge-cut systems, with found families and perturbed copies at every k."""
     cases = []
-    for n in range(5, 9):
+    for n in sizes:
         for vertex_cut in (True, False):
             sys = _random_cut_system(rng, n, vertex_cut)
             values = sys.array.tolist()
@@ -411,10 +416,7 @@ def cut_families():
                 found.append(construct_ultrafilter(sys, k).members)
                 seeds = [m for m in range(1, 1 << sys.n) if values[m] <= k]
                 if seeds:
-                    seed = rng.choice(seeds)
-                    principal = SetFamily(
-                        frozenset(m for m in range(1 << sys.n) if values[m] <= k and m & seed == seed), k, n
-                    )
+                    principal = _principal(sys, rng.choice(seeds), k)
                     found += [principal.members, extend_filter_to_ultrafilter(sys, principal).members]
                 # of a set and its complement at most one is this small, and three of them can cover X
                 # where no two do, so at odd n this family may fail T3 and nothing before it
@@ -425,11 +427,40 @@ def cut_families():
     return cases
 
 
+@pytest.fixture(scope="module")
+def cut_families():
+    """Seeded cut systems, n = 5..8 and then n = 1..4, with found families and perturbed copies at every k."""
+    wide = _cut_family_cases(random.Random(20240607), range(5, 9))
+    return wide + _cut_family_cases(random.Random(1234), range(1, 5))
+
+
+@pytest.fixture(scope="module")
+def wide_cut_families():
+    """Constructed ultrafilters, principal filters and their extensions on seeded n = 12..14 vertex cuts, perturbed."""
+    rng = random.Random(1214)
+    cases = []
+    for n in (12, 13, 14):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, rng.sample(pairs, 3 * n))
+        counts = np.bincount(sys.array.ravel()).cumsum()
+        top = int(np.flatnonzero(counts <= 400)[-1])  # the largest k with at most 400 efficient sets
+        for k in (top // 2, top):
+            seed = rng.choice([m for m in range(1, 1 << n) if sys.f(m) <= k])
+            principal = _principal(sys, seed, k)
+            found = [construct_ultrafilter(sys, k), principal, extend_filter_to_ultrafilter(sys, principal)]
+            for family in found:
+                for variant in [family.members, *_perturbed(sys, family.members, k, rng)]:
+                    cases.append((sys, SetFamily(frozenset(variant), k, n)))
+    return cases
+
+
 class TestMembershipArrays:
-    def test_arrays_and_literal_scans_agree(self, cut_families, monkeypatch):
+    def test_arrays_and_literal_scans_agree(self, cut_families, wide_cut_families, monkeypatch):
         failed_above_gate = set()
-        for sys, family in cut_families:
+        for sys, family in cut_families + wide_cut_families:
             for kind in ARRAY_KINDS:
+                if kind == "sigma_filter" and sys.n > 8:
+                    continue  # SIF3 is a literal closure at every size, seconds a family at n >= 12; SIF2 is Q2
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", 0)
                 on_arrays = check_family(sys, family, kind)
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", (1 << sys.n) + 1)
@@ -459,6 +490,65 @@ class TestMembershipArrays:
         for family in (uf, broken):
             assert derived_flags(sys, family, "ultrafilter")["FT1"] is oracle_ft1(family.members)
         assert derived_flags(sys, broken, "filter") == {"FT1": False}
+
+
+class TestBitsets:
+    """The 2^n-bit helpers against literal loops over the masks, with n = 1 and 2 under one byte."""
+
+    @staticmethod
+    def _samples(rng, n):
+        size = 1 << n
+        yield set()
+        yield set(range(size))
+        for density in (1 / size, 0.05, 0.3, 0.7):
+            yield {c for c in range(size) if rng.random() < density}
+        yield set(rng.sample(range(size), min(size, 40)))  # past the sparse listing of _masks
+
+    def test_helpers_match_literal_loops(self):
+        rng = random.Random(1010)
+        for n in range(1, 11):
+            size, full = 1 << n, (1 << n) - 1
+            has, lack = families._element_bitsets(n)
+            assert [[c for c in range(size) if h >> c & 1] for h in has] == [
+                [c for c in range(size) if c >> i & 1] for i in range(n)
+            ]
+            assert [h | x for h, x in zip(has, lack)] == [(1 << size) - 1] * n
+            assert not any(h & x for h, x in zip(has, lack))
+            for marked in self._samples(rng, n):
+                bits = families._bitset(marked, n)
+                assert bits == sum(1 << c for c in marked) and bits < 1 << size
+                array = np.zeros(size, dtype=bool)
+                array[list(marked)] = True
+                assert families._pack(array) == bits
+                assert families._unpack(bits, n).tolist() == array.tolist()
+                assert families._masks(bits, n) == sorted(marked)
+                literal = {
+                    "_up": {s for s in range(size) if any(m & s == m for m in marked)},
+                    "_down": {s for s in range(size) if any(m & s == s for m in marked)},
+                    "_strict_down": {s for s in range(size) if any(m & s == s and m != s for m in marked)},
+                    "_reverse": {full ^ c for c in marked},
+                }
+                for name, want in literal.items():
+                    assert getattr(families, name)(bits, n) == sum(1 << c for c in want), (name, n, marked)
+
+    def test_check_family_keeps_no_wide_temporaries(self):
+        # a boolean array over the 2^n masks takes 2^n bytes; the check keeps bitsets of 2^n / 8
+        # bytes and unpacks only the table that a pair axiom gathers from
+        rng = random.Random(20)
+        pairs = [(a, b) for a in range(20) for b in range(a + 1, 20)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(20)], 20, rng.sample(pairs, 60))
+        counts = np.bincount(sys.array.ravel()).cumsum()
+        k = int(np.flatnonzero(counts <= 600)[-1])  # the largest k with at most 600 efficient sets
+        uf = construct_ultrafilter(sys, k)
+        assert len(uf) >= families.ARRAY_MIN_MEMBERS
+        tracemalloc.start()
+        try:
+            verdict = check_family(sys, uf, "ultrafilter")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        assert peak <= 3 * 2**20
 
 
 def _weighted_majority(rng, n):

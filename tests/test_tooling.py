@@ -118,6 +118,24 @@ def test_files_are_read_and_audit_reports_made_in_one_place():
     assert seen == {"open", "json.load", "AuditReport"}
 
 
+def test_bitset_helpers_are_defined_once():
+    """Each 2^n-bit helper is defined once, in families.py, which alone packs bits; _subset_transform is gone."""
+    helpers = {"_REVERSED_BYTE", "_element_bitsets", "_pack", "_bitset", "_unpack", "_masks", "_up", "_down"}
+    helpers |= {"_strict_down", "_reverse"}
+    defined, packing = [], []
+    for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, path.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(t.id, path.name) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits"):
+                packing.append(path.name)
+    assert sorted(d for d in defined if d[0] in helpers) == sorted((name, "families.py") for name in helpers)
+    assert "_subset_transform" not in {name for name, _ in defined}
+    assert set(packing) == {"families.py"}
+
+
 @pytest.mark.parametrize("workload", ["small", "scale"])
 def test_benchmark_runs_and_checks_one_cycle(workload):
     """Each workload runs its minimum cycles with seconds 0, untraced, and every answer passes its check."""
