@@ -16,8 +16,8 @@ from .errors import (
     InvalidParameter,
     NotAFilter,
 )
-from .families import SetFamily, _closure_values, check_family
-from .families import _bitset, _down, _element_bitsets, _masks, _pack, _reverse, _strict_down, _up  # 2^n-bit sets
+from .families import SetFamily, check_family
+from .families import _bitset, _closure, _down, _first_pair, _joins, _masks, _meets, _pack, _reverse, _strict_down, _up
 
 ENUMERATION_MAX_N = 8
 OPERATION_BUDGET_FACTOR = 64
@@ -227,7 +227,7 @@ class _PairSearch:
 class _TangleSearch:
     """Tangle decisions on two bitsets over all 2^n masks, in which bit c stands for mask c.
 
-    The 2^n-bit helpers (``_element_bitsets``, ``_reverse``, ``_down``,
+    The 2^n-bit helpers (``_joins``, ``_reverse``, ``_down``,
     ``_strict_down``, ``_masks``) are those that ``check_family`` decides on.
 
     ``ins`` holds the members and ``outs`` the sets put out. A member's
@@ -237,12 +237,12 @@ class _TangleSearch:
     superset of what two members s and t leave uncovered; the complements
     of those sets are the efficient subsets of s | t, so each round puts in
     the efficient part of the subset closure of the pair unions. For a member
-    s, the unions {s | t : t in ins} are popcount(s) folds of ``ins``, the
-    fold for element i moving every mask that lacks i up by 2^i. Each round
-    pairs the members that are new with every member, s itself included, and
-    rounds repeat until no member is new. A new member inside another member
-    is not paired: its unions lie inside that member's, whose subsets are
-    put in by that member's own pairs.
+    s, the unions {s | t : t in ins} are ``_joins(ins, s)``: popcount(s)
+    folds of ``ins``, the fold for element i moving every mask that lacks i
+    up by 2^i. Each round pairs the members that are new with every member,
+    s itself included, and rounds repeat until no member is new. A new
+    member inside another member is not paired: its unions lie inside that
+    member's, whose subsets are put in by that member's own pairs.
 
     The DFS branches on the lowest undecided efficient mask, "in" first,
     exactly as ``_PairSearch`` does, and the least fixpoint is unique, so
@@ -263,7 +263,6 @@ class _TangleSearch:
     def _close(self, ins: int, new: int) -> tuple[int, int] | None:
         """(ins, outs) at the least fixpoint over the members ins, of which new are unpaired; None on a conflict."""
         n = self.sys.n
-        has, lack = _element_bitsets(n)
         while True:
             outs = _reverse(ins, n)
             if ins & outs:
@@ -275,12 +274,8 @@ class _TangleSearch:
             inside = _strict_down(ins, n)
             unions = 0
             for s in _masks(new & ~inside, n):
-                folded = ins
-                for i in range(s.bit_length()):
-                    if s >> i & 1:
-                        folded = (folded & has[i]) | ((folded & lack[i]) << (1 << i))
+                unions |= _joins(ins, s, n)
                 self.ops += s.bit_count()
-                unions |= folded
             self.ops += 3
             new = (_down(unions, n) & self.eff | ins) ^ ins
             ins |= new
@@ -398,11 +393,10 @@ def generate_from_subbase(sys: ConnectivitySystem, subbase: SetFamily) -> SetFam
     verdict = check_family(sys, subbase, "filter_subbase")
     if not verdict.holds:
         raise InvalidParameter(f"subbase fails {verdict.violated_axiom}")
-    values = _closure_values(subbase.sorted_members(), operator.and_)
-    if 0 in values:
-        raise EmptyIntersection(values[0])
-    cores = frozenset(v for v in values if sys.f(v) <= subbase.k)
-    generated = _up_closure(sys, SetFamily(cores, subbase.k, sys.n))
+    meets = _closure(reversed(subbase.sorted_members()), sys.n, _meets)
+    if meets & 1:
+        raise EmptyIntersection(_first_pair(meets ^ 1, 1, sys.n, _meets, operator.and_)[:2])
+    generated = _up_closure(sys, meets, subbase.k)
     verdict = check_family(sys, generated, "pi_system")  # non-empty: it holds the subbase
     if not verdict.holds:
         raise EfficiencyEscape(*verdict.witnesses)
@@ -442,10 +436,10 @@ def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResu
     return UltrafilterNumberResult(1, SetFamily(frozenset([best]), k, sys.n))
 
 
-def _up_closure(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
-    """The k-efficient supersets of the members."""
-    members = _up(_bitset(fam.members, sys.n), sys.n) & _pack(sys.array <= fam.k)
-    return SetFamily(frozenset(_masks(members, sys.n)), fam.k, sys.n)
+def _up_closure(sys: ConnectivitySystem, bits: int, k: int) -> SetFamily:
+    """The k-efficient supersets of the k-efficient sets in bits."""
+    eff = _pack(sys.array <= k)
+    return SetFamily(frozenset(_masks(_up(bits & eff, sys.n) & eff, sys.n)), k, sys.n)
 
 
 def generated_filter_of_prefilter(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
@@ -453,4 +447,4 @@ def generated_filter_of_prefilter(sys: ConnectivitySystem, fam: SetFamily) -> Se
     verdict = check_family(sys, fam, "prefilter")
     if not verdict.holds:
         raise InvalidParameter(f"family fails prefilter axiom {verdict.violated_axiom}")
-    return _up_closure(sys, fam)
+    return _up_closure(sys, _bitset(fam.members, sys.n), fam.k)

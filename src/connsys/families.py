@@ -6,13 +6,17 @@ over all subsets (Q4, T2, SB4, MA1, ...) are evaluated over all k-efficient
 subsets of the system. Verdicts report the first violated axiom in the
 kind's fixed order, with the lowest-bitmask witness.
 
-For families of at least ARRAY_MIN_MEMBERS members, Q0, Q1, Q2, Q4, T3 and
-MA2 are decided exactly on 2^n-bit integers, bit c for mask c: membership,
-efficiency and their closures up, down and by complement. A failing axiom's
-literal scan then runs only to find the same witness. MA3 is decided at
-every size by one size comparison between members and efficient
-non-members, and fip_check by one intersection. The flags that a report
-derives beside a verdict (FT1, QS1, QSD1) come from derived_flags.
+Sets of masks are 2^n-bit integers, bit c for mask c, closed up, down and
+by complement in n shift-and-mask passes, and folded by _joins and _meets
+into t | s or t & s for every t. QW1', QQ1', P3, P4, L2, L3, SUF3, SIF3,
+UC1 and IN2 are decided on them at every size, with the literal scans'
+witnesses, except that SIF3 and L3 name the least pair of closure values
+that gives the lowest failing set. Q0, Q1, Q2, Q4, T3 and MA2 are decided
+on them from ARRAY_MIN_MEMBERS members, a failing axiom's literal scan then
+only finding the witness. MA3 is decided at every size by one size
+comparison between members and efficient non-members, and fip_check by one
+intersection. The flags that a report derives beside a verdict (FT1, QS1,
+QSD1) come from derived_flags.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from .errors import (
     NotAFilter,
 )
 
-# Families this large are decided on membership arrays; below it the literal
-# scans are cheaper than the numpy calls.
+# Q0, Q1, Q2, Q4, T3 and MA2 are decided on bitsets for families this large
+# and by literal scans below it: the audits check tens of thousands of small
+# families a round with them, where a scan is cheaper than the numpy calls.
+# On large families, any_pair decides Q1 faster than meet counts would.
 ARRAY_MIN_MEMBERS = 17
 
 
@@ -114,12 +120,17 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[: 1 << n].view(bool)
 
 
+def _lowest(bits: int) -> int:
+    """The lowest mask whose bit is set; -1 if there is none."""
+    return (bits & -bits).bit_length() - 1
+
+
 def _masks(bits: int, n: int) -> list[int]:
     """The masks whose bits are set, ascending."""
     if bits.bit_count() < 32:
         out = []
         while bits:
-            out.append((bits & -bits).bit_length() - 1)
+            out.append(_lowest(bits))
             bits &= bits - 1
         return out
     return np.flatnonzero(_unpack(bits, n)).tolist()
@@ -152,13 +163,58 @@ def _reverse(bits: int, n: int) -> int:
     return int.from_bytes(raw, "big") >> (8 * size - (1 << n))
 
 
+def _joins(bits: int, s: int, n: int) -> int:
+    """t | s for every t in bits: one shift-and-mask pass per element of s."""
+    has, lack = _element_bitsets(n)
+    for i in range(s.bit_length()):
+        if s >> i & 1:
+            bits = (bits & has[i]) | ((bits & lack[i]) << (1 << i))
+    return bits
+
+
+def _meets(bits: int, s: int, n: int) -> int:
+    """t & s for every t in bits: one shift-and-mask pass per element outside s."""
+    has, lack = _element_bitsets(n)
+    for i in range(n):
+        if not s >> i & 1:
+            bits = (bits & lack[i]) | ((bits & has[i]) >> (1 << i))
+    return bits
+
+
+def _closure(members, n: int, fold) -> int:
+    """Every value of fold over the non-empty sub-collections of the members, for an associative fold.
+
+    A member that is already a value adds nothing, so members given in the
+    order that the fold moves (meets from the top, unions from the bottom)
+    are mostly skipped.
+    """
+    closed = 0
+    for s in members:
+        if not closed >> s & 1:
+            closed |= fold(closed, s, n) | 1 << s
+    return closed
+
+
+def _first_pair(pool: int, target: int, n: int, fold, op) -> tuple[int, int, int] | None:
+    """The least (s, t) of sets in pool with op(s, t) in target, as (s, t, op(s, t)), or None; t >= s.
+
+    fold(bits, s, n) gives op(t, s) for every t in bits, and op is symmetric.
+    """
+    for s in _masks(pool, n):
+        if fold(pool, s, n) & target:
+            ts = np.flatnonzero(_unpack(pool, n))
+            t = int(ts[_unpack(target, n)[op(s, ts)].argmax()])
+            return s, t, op(s, t)
+    return None
+
+
 class _Arrays:
     """One family at one bound as 2^n-bit sets, bit c for mask c.
 
-    ``eff`` holds the efficient sets, ``mem`` the members and ``bad`` the
-    efficient non-members. The closures that an axiom needs take n
-    shift-ORs each and are made only when that axiom is reached; a pair
-    axiom unpacks only the set it gathers from.
+    ``eff`` holds the efficient sets, ``mem`` the members, ``bad`` the
+    efficient non-members and ``every`` all masks. The closures that an
+    axiom needs take n shift-ORs each and are made only when that axiom is
+    reached; a pair axiom unpacks only the set it gathers from.
     """
 
     def __init__(self, eff: int, members: list[int], n: int):
@@ -167,6 +223,7 @@ class _Arrays:
         self.members = members
         self.mem = _bitset(members, n)
         self.bad = eff & ~self.mem
+        self.every = (1 << (1 << n)) - 1
 
     def any_pair(self, op, bits: int) -> bool:
         """Whether op(a, b) is in bits for some members a, b."""
@@ -183,15 +240,15 @@ class _Arrays:
 class _Ctx:
     def __init__(self, sys: ConnectivitySystem, fam: SetFamily):
         self.sys = sys
-        self.fam = fam
         self.k = fam.k
         self.full = sys.full_mask
         self.members = fam.members
         self.sorted = fam.sorted_members()
-        self.arrays = None
-        if len(fam.members) >= ARRAY_MIN_MEMBERS:
-            self.arrays = _Arrays(_pack(sys.array <= fam.k), self.sorted, sys.n)
         self.f = sys.array.data  # indexing the buffer gives Python ints, without numpy's per-item call
+
+    @cached_property
+    def arrays(self) -> _Arrays:
+        return _Arrays(_pack(self.sys.array <= self.k), self.sorted, self.sys.n)
 
     @cached_property
     def keff(self) -> list[int]:
@@ -246,25 +303,15 @@ def _ax_q4(c: _Ctx):
 
 
 def _ax_qw1(c: _Ctx):
-    for i, a in enumerate(c.sorted):
-        for b in c.sorted[i:]:
-            if a & b == 0:
-                return (a, b)
-    return None
+    a = c.arrays
+    pair = _first_pair(a.mem, 1, a.n, _meets, operator.and_)  # two members meet in the empty set
+    return pair and pair[:2]
 
 
 def _ax_qq1(c: _Ctx):
     # quantified over all pairs of subsets, not only efficient ones
-    size = 1 << c.sys.n
-    for a in range(size):
-        if a in c.members:
-            continue
-        for b in range(size):
-            if b in c.members:
-                continue
-            if (a | b) in c.members:
-                return (a, b, a | b)
-    return None
+    a = c.arrays
+    return _first_pair(a.every ^ a.mem, a.mem, a.n, _joins, operator.or_)
 
 
 def _single_deletion_witness(c: _Ctx, require_singleton_eff: bool):
@@ -303,24 +350,18 @@ def _ax_t4(c: _Ctx):
 
 
 def _ax_p3(c: _Ctx):
-    for i, b in enumerate(c.sorted):
-        for d in c.sorted[i:]:
-            meet = b & d
-            if not any(a & ~meet == 0 and c.eff(a) for a in c.members):
-                return (b, d)
-    return None
-
-
-def _decided_below(c: _Ctx, a: int) -> bool:
-    comp = c.full ^ a
-    return any((b & ~a == 0 or b & ~comp == 0) and c.eff(b) for b in c.members)
+    a = c.arrays
+    # two members whose meet holds no efficient member
+    pair = _first_pair(a.mem, a.every ^ _up(a.mem & a.eff, a.n), a.n, _meets, operator.and_)
+    return pair and pair[:2]
 
 
 def _ax_p4(c: _Ctx):
-    for a in c.keff:
-        if not _decided_below(c, a):
-            return (a,)
-    return None
+    a = c.arrays
+    # an efficient set such that neither it nor its complement holds an efficient member
+    above = _up(a.mem & a.eff, a.n)
+    low = _lowest(a.eff & ~above & ~_reverse(above, a.n))
+    return (low,) if low >= 0 else None
 
 
 def _ax_has_full(c: _Ctx):
@@ -330,76 +371,37 @@ def _ax_has_full(c: _Ctx):
 
 
 def _ax_l2(c: _Ctx):
-    for a in c.sorted:
-        comp = c.full ^ a
-        if c.eff(comp) and comp not in c.members:
-            return (a, comp)
-    return None
+    a = c.arrays
+    low = _lowest(_reverse(a.bad, a.n) & a.mem)  # a member with an efficient non-member complement
+    return (low, c.full ^ low) if low >= 0 else None
 
 
-def _closure_values(members: list[int], join) -> dict[int, tuple[int, int]]:
-    """Every value of join (None where it does not apply) over sub-collections, with one generating pair each."""
-    values = {m: (m, m) for m in members}
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in list(values):
-                w = join(u, v)
-                if w is not None and w not in values:
-                    values[w] = (u, v)
-                    nxt.append(w)
-        frontier = nxt
-    return values
-
-
-def _disjoint_union(u: int, v: int) -> int | None:
-    return None if u & v else u | v
-
-
-def _closed_under(join):
-    """The scan of "every efficient value of join over the members is a member"."""
-
-    def scan(c: _Ctx):
-        values = _closure_values(c.sorted, join)
-        for w in sorted(values):
-            if c.eff(w) and w not in c.members:
-                u, v = values[w]
-                return (u, v, w)
+def _ax_l3(c: _Ctx):
+    # the unions of disjoint sub-collections; a value t disjoint from s joins it as t + s
+    a = c.arrays
+    unions = _closure(a.members, a.n, lambda bits, s, n: (bits & _down(1 << (c.full ^ s), n)) << s)
+    w = _lowest(unions & a.bad)
+    if w < 0:
         return None
+    u = next(u for u in _masks(unions & _down(1 << w, a.n), a.n) if 0 < u < w ^ u and unions >> (w ^ u) & 1)
+    return (u, w ^ u, w)
 
-    return scan
 
-
-_ax_l3 = _closed_under(_disjoint_union)
-_ax_sif3 = _closed_under(operator.and_)
+def _ax_sif3(c: _Ctx):
+    a = c.arrays
+    meets = _closure(reversed(a.members), a.n, _meets)
+    w = _lowest(meets & a.bad)  # with the least pair of other values that meets in it
+    return None if w < 0 else _first_pair(meets & _up(1 << w, a.n) ^ 1 << w, 1 << w, a.n, _meets, operator.and_)
 
 
 def _ax_suf3(c: _Ctx):
-    for a in c.keff:
-        for b in c.keff:
-            if (a | b) in c.members and a not in c.members and b not in c.members:
-                return (a, b, a | b)
-    return None
+    a = c.arrays
+    return _first_pair(a.bad, a.mem, a.n, _joins, operator.or_)
 
 
 def _ax_uc1(c: _Ctx):
-    for i, a in enumerate(c.sorted):
-        for b in c.sorted[i:]:
-            u = a | b
-            if c.eff(u) and u not in c.members:
-                return (a, b, u)
-    return None
-
-
-def _submasks(mask: int):
-    """The submasks of mask, ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
+    a = c.arrays
+    return _first_pair(a.mem, a.bad, a.n, _joins, operator.or_)
 
 
 def _ax_in1(c: _Ctx):
@@ -413,11 +415,9 @@ def _ax_uc2(c: _Ctx):
 
 
 def _ax_in2(c: _Ctx):
-    for a in c.sorted:
-        for sub in _submasks(a):
-            if c.eff(sub) and sub not in c.members:
-                return (a, sub)
-    return None
+    a = c.arrays
+    top = _lowest(_up(a.bad, a.n) & a.mem)  # a member above an efficient non-member
+    return (top, _lowest(_down(1 << top, a.n) & a.bad)) if top >= 0 else None
 
 
 def _ax_ma2(c: _Ctx):
@@ -506,11 +506,12 @@ def check_family(
     if single_mode not in ("QS1", "QSD1"):
         raise InvalidParameter(f"unknown single mode {single_mode!r}; expected QS1 or QSD1")
     c = _Ctx(sys, fam)
+    large = len(fam.members) >= ARRAY_MIN_MEMBERS
     axioms = _AXIOMS[kind]
     if single_mode == "QSD1":
         axioms = [(lab, fn) if lab != "QS1" else ("QSD1", _ax_qsd1) for lab, fn in axioms]
     for label, fn in axioms:
-        fails = _FAILS_ON_ARRAYS.get(fn) if c.arrays is not None else None
+        fails = _FAILS_ON_ARRAYS.get(fn) if large else None
         if fails is not None and not fails(c.arrays):
             continue
         witness = fn(c)

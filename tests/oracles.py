@@ -114,7 +114,222 @@ def oracle_family_holds(values, n, members, k, kind):
     if kind == "majority_system":
         return oracle_majority_violation(values, n, members, k) is None
 
+    if kind in (
+        "weak_filter",
+        "quasi_filter",
+        "ultra_prefilter",
+        "ultrafilter_subbase",
+        "sigma_filter",
+        "lambda_system",
+        "union_closed_system",
+        "independence_system",
+    ):
+        return oracle_first_violation(values, n, members, k, kind) is None
+
     raise ValueError(kind)
+
+
+def _submasks(mask):
+    """The submasks of mask, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
+
+
+def _sub_collection_values(ordered, joined):
+    """Every value over the non-empty sub-collections of the members; joined(values, m) gives those that take m in."""
+    values = set()
+    for m in ordered:
+        values |= joined(values, m) | {m}
+    return values
+
+
+def _least_pair(values, fits):
+    """The least pair u < v of values with fits(u, v), or None."""
+    ordered = sorted(values)
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1 :]:
+            if fits(u, v):
+                return u, v
+    return None
+
+
+def oracle_first_violation(values, n, members, k, kind):
+    """The first violated axiom of the kind and its witness, by literal scans, or None.
+
+    The axioms are checked in the kind's fixed order; each scan returns its
+    first witness in ascending mask order, at most three sets. SIF3 and L3
+    ask that every efficient value over the sub-collections of the members
+    (intersections; unions of pairwise disjoint members) be a member: the
+    witness is the lowest efficient non-member w among the values with the
+    least pair u < v of values that gives it (both other than w with
+    u & v = w; non-empty and disjoint with u | v = w).
+    """
+    full = (1 << n) - 1
+    F = set(members)
+    ordered = sorted(F)
+    keff = [m for m, value in enumerate(values) if value <= k]
+
+    def eff(m):
+        return values[m] <= k
+
+    def nonempty():
+        return None if F else ()
+
+    def q0():
+        return next(((a,) for a in ordered if not eff(a)), None)
+
+    def q1():
+        for i, a in enumerate(ordered):
+            for b in ordered[i:]:
+                if eff(a & b) and (a & b) not in F:
+                    return (a, b, a & b)
+        return None
+
+    def q2():
+        for a in ordered:
+            for b in keff:
+                if b & a == a and b not in F:
+                    return (a, b)
+        return None
+
+    def q3():
+        return (0,) if 0 in F else None
+
+    def q4():
+        return next(((a, full ^ a) for a in keff if a not in F and (full ^ a) not in F), None)
+
+    def qw1():
+        for i, a in enumerate(ordered):
+            for b in ordered[i:]:
+                if a & b == 0:
+                    return (a, b)
+        return None
+
+    def qq1():
+        # over all pairs of subsets, not only efficient ones
+        for a in range(1 << n):
+            if a in F:
+                continue
+            for b in range(1 << n):
+                if b not in F and (a | b) in F:
+                    return (a, b, a | b)
+        return None
+
+    def qs1():
+        for a in ordered:
+            for i in range(n):
+                e = 1 << i
+                if eff(e) and eff(a & ~e) and (a & ~e) not in F:
+                    return (a, e)
+        return None
+
+    def t3():
+        for i, a in enumerate(ordered):
+            for j in range(i, len(ordered)):
+                for d in ordered[j:]:
+                    if a | ordered[j] | d == full:
+                        return (a, ordered[j], d)
+        return None
+
+    def t4():
+        return next(((full ^ (1 << i),) for i in range(n) if (full ^ (1 << i)) in F), None)
+
+    def p3():
+        holds_eff = {}  # meet -> whether an efficient member lies inside it
+        for i, b in enumerate(ordered):
+            for d in ordered[i:]:
+                meet = b & d
+                if meet not in holds_eff:
+                    holds_eff[meet] = any(a & ~meet == 0 and eff(a) for a in F)
+                if not holds_eff[meet]:
+                    return (b, d)
+        return None
+
+    def p4():
+        for a in keff:
+            if not any((b & ~a == 0 or b & a == 0) and eff(b) for b in F):
+                return (a,)
+        return None
+
+    def has_full():
+        return None if full in F else (full,)
+
+    def l2():
+        return next(((a, full ^ a) for a in ordered if eff(full ^ a) and (full ^ a) not in F), None)
+
+    def closed(joined, fits):
+        closure = _sub_collection_values(ordered, joined)
+        bad = [w for w in sorted(closure) if eff(w) and w not in F]
+        if not bad:
+            return None
+        w = bad[0]
+        return (*_least_pair(closure, lambda u, v: fits(u, v, w)), w)
+
+    def l3():
+        return closed(
+            lambda values, m: {t | m for t in values if not t & m},
+            lambda u, v, w: u and v and u & v == 0 and u | v == w,
+        )
+
+    def sif3():
+        return closed(lambda values, m: {t & m for t in values}, lambda u, v, w: w not in (u, v) and u & v == w)
+
+    def suf3():
+        for a in keff:
+            for b in keff:
+                if (a | b) in F and a not in F and b not in F:
+                    return (a, b, a | b)
+        return None
+
+    def uc1():
+        for i, a in enumerate(ordered):
+            for b in ordered[i:]:
+                if eff(a | b) and (a | b) not in F:
+                    return (a, b, a | b)
+        return None
+
+    def in1():
+        return None if 0 in F else (0,)
+
+    def in2():
+        for a in ordered:
+            for sub in _submasks(a):
+                if eff(sub) and sub not in F:
+                    return (a, sub)
+        return None
+
+    filter_head = [("nonempty", nonempty), ("Q0", q0)]
+    axioms = {
+        "filter": filter_head + [("Q1", q1), ("Q2", q2), ("Q3", q3)],
+        "ultrafilter": filter_head + [("Q1", q1), ("Q2", q2), ("Q3", q3), ("Q4", q4)],
+        "weak_filter": filter_head + [("QW1'", qw1), ("Q2", q2), ("Q3", q3)],
+        "quasi_filter": filter_head + [("QQ1'", qq1), ("Q2", q2), ("Q3", q3)],
+        "single_filter": filter_head + [("QS1", qs1), ("Q2", q2), ("Q3", q3)],
+        "single_ultrafilter": filter_head + [("QS1", qs1), ("Q2", q2), ("Q3", q3), ("Q4", q4)],
+        "tangle": [("nonempty", nonempty), ("T1", q0), ("T2", q4), ("T3", t3), ("T4", t4)],
+        "prefilter": [("nonempty", nonempty), ("P1", q3), ("P2", q0), ("P3", p3)],
+        "ultra_prefilter": [("nonempty", nonempty), ("P1", q3), ("P2", q0), ("P3", p3), ("P4", p4)],
+        "filter_subbase": [("SB1", nonempty), ("SB2", q3), ("SB3", q0)],
+        "ultrafilter_subbase": [("SB1", nonempty), ("SB2", q3), ("SB3", q0), ("SB4", p4)],
+        "pi_system": [("PI1", nonempty), ("PI2", q1)],
+        "lambda_system": [("L1", has_full), ("L2", l2), ("L3", l3)],
+        "superfilter": [("nonempty", nonempty), ("SUF1", q0), ("SUF2", q2), ("SUF3", suf3)],
+        "sigma_filter": [("SIF1", has_full), ("SIF2", q2), ("SIF3", sif3)],
+        "closure_system": [("CL1", q1), ("CL2", has_full)],
+        "union_closed_system": [("UC1", uc1), ("UC2", lambda: in1() or has_full())],
+        "independence_system": [("IN1", in1), ("IN2", in2)],
+    }
+    if kind == "majority_system":
+        return oracle_majority_violation(values, n, members, k)
+    for label, scan in axioms[kind]:
+        witness = scan()
+        if witness is not None:
+            return label, witness
+    return None
 
 
 def oracle_majority_violation(values, n, members, k):
@@ -128,15 +343,6 @@ def oracle_majority_violation(values, n, members, k):
     full = (1 << n) - 1
     F = set(members)
     ordered = sorted(F)
-
-    def submasks(mask):
-        sub = 0
-        while True:
-            yield sub
-            if sub == mask:
-                return
-            sub = (sub - mask) & mask
-
     for A in range(1 << n):
         if values[A] <= k and A not in F and (full ^ A) not in F:
             return "MA1", (A, full ^ A)
@@ -145,8 +351,8 @@ def oracle_majority_violation(values, n, members, k):
             if A & B == 0 and B != full ^ A:
                 return "MA2", (A, B)
     for A in ordered:
-        for f_set in submasks(A):
-            for g_set in submasks(full ^ A):
+        for f_set in _submasks(A):
+            for g_set in _submasks(full ^ A):
                 if bits(f_set) > bits(g_set):
                     continue
                 moved = (A & ~f_set) | g_set
@@ -341,7 +547,9 @@ def oracle_tree_width(values, n, edges):
 def oracle_generate_from_subbase(values, n, subbase, k):
     """Fixpoint closure: all finite intersections, then efficient up-closure.
 
-    Returns ("empty", witnesses), ("escape", (a, b, missing)), or ("ok", members).
+    Returns ("empty", (u, v)), ("escape", (a, b, missing)), or ("ok", members);
+    (u, v) is the least pair u < v of intersections, both non-empty, that meet
+    in the empty set.
     """
     member_list = sorted(subbase)
     cores = set()
@@ -352,13 +560,7 @@ def oracle_generate_from_subbase(values, n, subbase, k):
                 inter &= m
             cores.add(inter)
     if 0 in cores:
-        for size in range(1, len(member_list) + 1):
-            for combo in combinations(member_list, size):
-                inter = combo[0]
-                for m in combo[1:]:
-                    inter &= m
-                if inter == 0:
-                    return ("empty", combo)
+        return ("empty", _least_pair(cores, lambda u, v: u and u & v == 0))
     efficient_cores = {c for c in cores if values[c] <= k}
     result = set()
     for b in range(1 << n):

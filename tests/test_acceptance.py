@@ -99,7 +99,9 @@ def test_criterion_01_validation_soundness():
 
 
 def test_criterion_02_axiom_oracle_equivalence():
-    kinds = ("filter", "ultrafilter", "tangle", "prefilter", "pi_system", "superfilter")
+    kinds = ("filter", "ultrafilter", "tangle", "prefilter", "pi_system", "superfilter", "quasi_filter")
+    kinds += ("weak_filter", "ultra_prefilter", "ultrafilter_subbase", "sigma_filter", "lambda_system")
+    kinds += ("union_closed_system", "independence_system")
     systems = all_three_element_systems((0, 1, 2))
     assert systems, "no valid three-element tables"
     compared = 0

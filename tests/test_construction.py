@@ -342,9 +342,9 @@ class TestGenerate:
             done += 1
 
     def test_cut_systems_match_the_oracles_on_both_paths(self):
-        """Members and escape witnesses match the oracles at n = 6..8, where most generated families take
-        the array path of check_family; half the subbases are pairs whose intersection is not efficient,
-        which is where escapes come from."""
+        """Members, escape witnesses and empty-intersection pairs match the oracles at n = 6..8, where most
+        generated families take the array path of check_family; half the subbases are pairs whose
+        intersection is not efficient, which is where escapes come from."""
         rng = random.Random(60801)
         seen = Counter()
         for n in (6, 7, 8) * 8:
@@ -367,8 +367,10 @@ class TestGenerate:
                 status, payload = oracle_generate_from_subbase(values, n, members, k)
                 subbase = SetFamily.of(members, k, n)
                 if status == "empty":
-                    with pytest.raises(EmptyIntersection):
+                    with pytest.raises(EmptyIntersection) as exc:
                         generate_from_subbase(sys, subbase)
+                    assert exc.value.witnesses == payload
+                    seen["empty"] += 1
                     continue
                 cores = {reduce(and_, c) for r in range(1, len(members) + 1) for c in combinations(members, r)}
                 literal = up_closed(sys, [c for c in cores if values[c] <= k], k)
@@ -388,6 +390,7 @@ class TestGenerate:
                 assert got == up_closed(sys, prefilter, k)
                 seen["prefilter", len(got) >= 17] += 1
         assert all(seen[status, True] >= 3 for status in ("ok", "escape", "prefilter")), seen
+        assert seen["empty"] >= 3, seen
 
     def test_ultrafilter_subbase_generates_ultrafilter(self):
         for sys in all_three_element_systems((0, 1)):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 import warnings
 
@@ -37,7 +38,7 @@ from connsys.errors import (
 from connsys.families import KINDS
 
 from .conftest import all_three_element_systems, make_table_system, random_cut_systems
-from .oracles import oracle_family_holds, oracle_fip, oracle_ft1, oracle_majority_violation
+from .oracles import oracle_family_holds, oracle_first_violation, oracle_fip, oracle_ft1, oracle_majority_violation
 
 
 def fam(members, k, n):
@@ -358,7 +359,7 @@ def test_all_kinds_dispatch(trivial2):
         check_family(trivial2, fam([0b11], 0, 2), kind)
 
 
-# Kinds whose axioms include one that is decided on membership arrays.
+# Kinds whose axioms include one that is decided on 2^n-bit sets only from ARRAY_MIN_MEMBERS members.
 ARRAY_KINDS = (
     "filter",
     "ultrafilter",
@@ -370,6 +371,40 @@ ARRAY_KINDS = (
     "sigma_filter",
     "majority_system",
 )
+
+
+# Kinds with an axiom decided by 2^n-bit folds at every family size.
+FOLDED_KINDS = (
+    "weak_filter",
+    "quasi_filter",
+    "prefilter",
+    "ultra_prefilter",
+    "ultrafilter_subbase",
+    "lambda_system",
+    "superfilter",
+    "sigma_filter",
+    "union_closed_system",
+    "independence_system",
+)
+
+
+def test_folded_kinds_decide_every_set_holding_an_element_at_n14():
+    """Every set that holds element 0, on a vertex cut with 3n edges at k = max f: each folded kind in under 2 s."""
+    rng = random.Random(14)
+    pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
+    sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(14)], 14, rng.sample(pairs, 42))
+    family = fam(range(1, 1 << 14, 2), sys.max_value, 14)
+    verdicts = {}
+    for kind in FOLDED_KINDS:
+        started = time.perf_counter()
+        verdicts[kind] = check_family(sys, family, kind).violated_axiom
+        assert time.perf_counter() - started < 2.0, kind
+    # everything is efficient: the family is closed under unions and meets, but lacks the empty set
+    assert verdicts == dict.fromkeys(FOLDED_KINDS) | {
+        "lambda_system": "L2",
+        "union_closed_system": "UC2",
+        "independence_system": "IN1",
+    }
 
 
 def _random_cut_system(rng, n, vertex_cut):
@@ -459,8 +494,6 @@ class TestMembershipArrays:
         failed_above_gate = set()
         for sys, family in cut_families + wide_cut_families:
             for kind in ARRAY_KINDS:
-                if kind == "sigma_filter" and sys.n > 8:
-                    continue  # SIF3 is a literal closure at every size, seconds a family at n >= 12; SIF2 is Q2
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", 0)
                 on_arrays = check_family(sys, family, kind)
                 monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", (1 << sys.n) + 1)
@@ -470,6 +503,24 @@ class TestMembershipArrays:
                     failed_above_gate.add(literal.violated_axiom)
         # every array-decided axiom, under each of its labels, fails on some family above the gate
         assert failed_above_gate >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2", "MA2"}
+
+    def test_folded_axioms_match_the_literal_oracle(self, cut_families, wide_cut_families):
+        """Every kind with an axiom decided by 2^n-bit folds gives the literal scans' verdict and witness."""
+        failed = set()
+        for sys, family in cut_families + wide_cut_families:
+            values = sys.array.tolist()
+            cases = [(family, kind) for kind in FOLDED_KINDS]
+            if sys.n <= 8:
+                # with every complement and X added, a family passes L1 and L2 and reaches L3; the
+                # literal closure of these takes seconds a family at n >= 12
+                closed = fam(family.members | {sys.full_mask ^ m for m in family.members | {0}}, family.k, sys.n)
+                cases.append((closed, "lambda_system"))
+            for case, kind in cases:
+                got = check_family(sys, case, kind)
+                want = oracle_first_violation(values, sys.n, case.members, case.k, kind)
+                assert (got.violated_axiom, got.witnesses) == (want or (None, ())), (sys.spec_kind, sys.n, case, kind)
+                failed.add(got.violated_axiom)
+        assert failed >= {"QW1'", "QQ1'", "P3", "P4", "SB4", "L2", "L3", "SUF3", "SIF3", "UC1", "IN2"}
 
     def test_ft1_matches_the_triple_oracle(self, cut_families):
         seen = set()

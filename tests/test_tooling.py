@@ -119,9 +119,9 @@ def test_files_are_read_and_audit_reports_made_in_one_place():
 
 
 def test_bitset_helpers_are_defined_once():
-    """Each 2^n-bit helper is defined once, in families.py, which alone packs bits; _subset_transform is gone."""
+    """Each 2^n-bit helper is defined once, in families.py, which alone packs bits; the helpers they replaced are gone."""
     helpers = {"_REVERSED_BYTE", "_element_bitsets", "_pack", "_bitset", "_unpack", "_masks", "_up", "_down"}
-    helpers |= {"_strict_down", "_reverse"}
+    helpers |= {"_strict_down", "_reverse", "_joins", "_meets", "_closure"}
     defined, packing = [], []
     for path in sorted((ROOT / "src" / "connsys").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -132,7 +132,8 @@ def test_bitset_helpers_are_defined_once():
             elif isinstance(node, ast.Attribute) and node.attr in ("packbits", "unpackbits"):
                 packing.append(path.name)
     assert sorted(d for d in defined if d[0] in helpers) == sorted((name, "families.py") for name in helpers)
-    assert "_subset_transform" not in {name for name, _ in defined}
+    gone = {"_subset_transform", "_closure_values", "_submasks", "_decided_below"}
+    assert not gone & {name for name, _ in defined}
     assert set(packing) == {"families.py"}
 
 
