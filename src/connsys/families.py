@@ -8,15 +8,17 @@ kind's fixed order, with the lowest-bitmask witness.
 
 Sets of masks are 2^n-bit integers, bit c for mask c, closed up, down and
 by complement in n shift-and-mask passes, and folded by _joins and _meets
-into t | s or t & s for every t. QW1', QQ1', P3, P4, L2, L3, SUF3, SIF3,
-UC1 and IN2 are decided on them at every size, with the literal scans'
-witnesses, except that SIF3 and L3 name the least pair of closure values
-that gives the lowest failing set. Q0, Q1, Q2, Q4, T3 and MA2 are decided
-on them from ARRAY_MIN_MEMBERS members, a failing axiom's literal scan then
-only finding the witness. MA3 is decided at every size by one size
-comparison between members and efficient non-members, and fip_check by one
-intersection. The flags that a report derives beside a verdict (FT1, QS1,
-QSD1) come from derived_flags.
+into t | s or t & s for every t; the one _Ctx of a check makes each such
+set the first time an axiom reads it. QW1', QQ1', P3, P4, L2, L3, SUF3,
+SIF3, UC1, IN2 and MA2 are decided on them at every size, with the literal
+scans' witnesses, except that SIF3 and L3 name the least pair of closure
+values that gives the lowest failing set. Q0, Q1, Q2, Q4 and T3 have two
+paths: one bitset pass from ARRAY_MIN_MEMBERS members gives both the
+verdict and the literal scan's witness, and below it the scan itself runs,
+as it was measured faster on the audits' many small families. MA3 is
+decided at every size by one size comparison between members and efficient
+non-members, and fip_check by one intersection. The flags that a report
+derives beside a verdict (FT1, QS1, QSD1) come from derived_flags.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from .errors import (
     BoundIncrease,
     FipCrossCheckWarning,
     GroundSetMismatch,
-    InternalError,
     InvalidParameter,
     NotAFilter,
 )
 
-# Q0, Q1, Q2, Q4, T3 and MA2 are decided on bitsets for families this large
-# and by literal scans below it: the audits check tens of thousands of small
-# families a round with them, where a scan is cheaper than the numpy calls.
-# On large families, any_pair decides Q1 faster than meet counts would.
+# Q0, Q1, Q2, Q4 and T3 take verdict and witness from one bitset pass on
+# families this large and scan literally below: the co-tangle audit checks
+# about 43k smaller families a round of the `small` bench workload, where on
+# 2 CPUs bitsets for Q4 and T3 raised job_p50_ms by 6-11% and for Q2 as well
+# raised solve_s by 14%. A blocked pair table decides Q1 faster than meet counts.
 ARRAY_MIN_MEMBERS = 17
 
 
@@ -208,36 +210,14 @@ def _first_pair(pool: int, target: int, n: int, fold, op) -> tuple[int, int, int
     return None
 
 
-class _Arrays:
-    """One family at one bound as 2^n-bit sets, bit c for mask c.
+class _Ctx:
+    """One family at one bound, with its 2^n-bit sets, bit c for mask c.
 
     ``eff`` holds the efficient sets, ``mem`` the members, ``bad`` the
-    efficient non-members and ``every`` all masks. The closures that an
-    axiom needs take n shift-ORs each and are made only when that axiom is
-    reached; a pair axiom unpacks only the set it gathers from.
+    efficient non-members and ``every`` all masks, each made when an axiom
+    first reads it: the audits build tens of thousands of contexts a round.
     """
 
-    def __init__(self, eff: int, members: list[int], n: int):
-        self.n = n
-        self.eff = eff
-        self.members = members
-        self.mem = _bitset(members, n)
-        self.bad = eff & ~self.mem
-        self.every = (1 << (1 << n)) - 1
-
-    def any_pair(self, op, bits: int) -> bool:
-        """Whether op(a, b) is in bits for some members a, b."""
-        table = _unpack(bits, self.n)
-        arr = np.array(self.members, dtype=np.int64)
-        rows = max(1, (1 << 18) // max(1, len(arr)))  # about 2^18 pair elements per step
-        for r in range(0, len(arr), rows):
-            # rows r.. against columns r.. covers every unordered pair once or twice
-            if table[op(arr[r : r + rows, None], arr[None, r:])].any():
-                return True
-        return False
-
-
-class _Ctx:
     def __init__(self, sys: ConnectivitySystem, fam: SetFamily):
         self.sys = sys
         self.k = fam.k
@@ -245,18 +225,48 @@ class _Ctx:
         self.members = fam.members
         self.sorted = fam.sorted_members()
         self.f = sys.array.data  # indexing the buffer gives Python ints, without numpy's per-item call
+        self.n = sys.n
 
     @cached_property
-    def arrays(self) -> _Arrays:
-        return _Arrays(_pack(self.sys.array <= self.k), self.sorted, self.sys.n)
+    def eff(self) -> int:
+        return _pack(self.sys.array <= self.k)
+
+    @cached_property
+    def mem(self) -> int:
+        return _bitset(self.sorted, self.n)
+
+    @cached_property
+    def bad(self) -> int:
+        return self.eff & ~self.mem
+
+    @cached_property
+    def every(self) -> int:
+        return (1 << (1 << self.n)) - 1
 
     @cached_property
     def keff(self) -> list[int]:
         # lazy: many verdicts are reached before any axiom that scans it
         return enumerate_k_efficient(self.sys, self.k)
 
-    def eff(self, mask: int) -> bool:
+    def efficient(self, mask: int) -> bool:
         return self.f[mask] <= self.k
+
+    def member_pair(self, op, target: int) -> tuple[int, int] | None:
+        """The least pair a <= b of members with op(a, b) in target, or None; op is symmetric.
+
+        Blocks of about 2^18 pairs, rows r.. against columns r.., put each pair
+        a <= b in the block of a's row and mirror there any hit below the
+        diagonal, so only the first block that hits is cut to its upper triangle.
+        """
+        table = _unpack(target, self.n)
+        arr = np.array(self.sorted, dtype=np.int64)
+        rows = max(1, (1 << 18) // max(1, len(arr)))
+        for r in range(0, len(arr), rows):
+            hits = table[op(arr[r : r + rows, None], arr[None, r:])]
+            if hits.any():
+                i, j = divmod(int(np.triu(hits).argmax()), hits.shape[1])
+                return int(arr[r + i]), int(arr[r + j])
+        return None
 
 
 def _ax_nonempty(c: _Ctx):
@@ -266,22 +276,31 @@ def _ax_nonempty(c: _Ctx):
 
 
 def _ax_q0(c: _Ctx):
+    if len(c.sorted) >= ARRAY_MIN_MEMBERS:
+        low = _lowest(c.mem & ~c.eff)
+        return (low,) if low >= 0 else None
     for a in c.sorted:
-        if not c.eff(a):
+        if not c.efficient(a):
             return (a,)
     return None
 
 
 def _ax_q1(c: _Ctx):
+    if len(c.sorted) >= ARRAY_MIN_MEMBERS:
+        pair = c.member_pair(np.bitwise_and, c.bad)
+        return pair and (*pair, pair[0] & pair[1])
     for i, a in enumerate(c.sorted):
         for b in c.sorted[i:]:
             u = a & b
-            if c.eff(u) and u not in c.members:
+            if c.efficient(u) and u not in c.members:
                 return (a, b, u)
     return None
 
 
 def _ax_q2(c: _Ctx):
+    if len(c.sorted) >= ARRAY_MIN_MEMBERS:
+        low = _lowest(c.mem & _down(c.bad, c.n))  # a member below an efficient non-member
+        return (low, _lowest(c.bad & _up(1 << low, c.n))) if low >= 0 else None
     for a in c.sorted:
         for b in c.keff:
             if b & a == a and b not in c.members:
@@ -296,6 +315,9 @@ def _ax_q3(c: _Ctx):
 
 
 def _ax_q4(c: _Ctx):
+    if len(c.sorted) >= ARRAY_MIN_MEMBERS:
+        low = _lowest(c.bad & ~_reverse(c.mem, c.n))  # neither it nor its complement is a member
+        return (low, c.full ^ low) if low >= 0 else None
     for a in c.keff:
         if a not in c.members and (c.full ^ a) not in c.members:
             return (a, c.full ^ a)
@@ -303,25 +325,23 @@ def _ax_q4(c: _Ctx):
 
 
 def _ax_qw1(c: _Ctx):
-    a = c.arrays
-    pair = _first_pair(a.mem, 1, a.n, _meets, operator.and_)  # two members meet in the empty set
+    pair = _first_pair(c.mem, 1, c.n, _meets, operator.and_)  # two members meet in the empty set
     return pair and pair[:2]
 
 
 def _ax_qq1(c: _Ctx):
     # quantified over all pairs of subsets, not only efficient ones
-    a = c.arrays
-    return _first_pair(a.every ^ a.mem, a.mem, a.n, _joins, operator.or_)
+    return _first_pair(c.every ^ c.mem, c.mem, c.n, _joins, operator.or_)
 
 
 def _single_deletion_witness(c: _Ctx, require_singleton_eff: bool):
     for a in c.sorted:
         for i in range(c.sys.n):
             e = 1 << i
-            if require_singleton_eff and not c.eff(e):
+            if require_singleton_eff and not c.efficient(e):
                 continue
             rest = a & ~e
-            if c.eff(rest) and rest not in c.members:
+            if c.efficient(rest) and rest not in c.members:
                 return (a, e)
     return None
 
@@ -335,6 +355,11 @@ def _ax_qsd1(c: _Ctx):
 
 
 def _ax_t3(c: _Ctx):
+    if len(c.sorted) >= ARRAY_MIN_MEMBERS:
+        # a | b | d = X for a member d iff a | b holds a complement; the least such pair
+        # and then the least d above X - (a | b) is the least triple, as d < b would give a lesser one
+        pair = c.member_pair(np.bitwise_or, _up(_reverse(c.mem, c.n), c.n))
+        return pair and (*pair, _lowest(c.mem & _up(1 << (c.full & ~(pair[0] | pair[1])), c.n)))
     for a, b, d in combinations_with_replacement(c.sorted, 3):
         if a | b | d == c.full:
             return (a, b, d)
@@ -350,17 +375,15 @@ def _ax_t4(c: _Ctx):
 
 
 def _ax_p3(c: _Ctx):
-    a = c.arrays
     # two members whose meet holds no efficient member
-    pair = _first_pair(a.mem, a.every ^ _up(a.mem & a.eff, a.n), a.n, _meets, operator.and_)
+    pair = _first_pair(c.mem, c.every ^ _up(c.mem & c.eff, c.n), c.n, _meets, operator.and_)
     return pair and pair[:2]
 
 
 def _ax_p4(c: _Ctx):
-    a = c.arrays
     # an efficient set such that neither it nor its complement holds an efficient member
-    above = _up(a.mem & a.eff, a.n)
-    low = _lowest(a.eff & ~above & ~_reverse(above, a.n))
+    above = _up(c.mem & c.eff, c.n)
+    low = _lowest(c.eff & ~above & ~_reverse(above, c.n))
     return (low,) if low >= 0 else None
 
 
@@ -371,37 +394,32 @@ def _ax_has_full(c: _Ctx):
 
 
 def _ax_l2(c: _Ctx):
-    a = c.arrays
-    low = _lowest(_reverse(a.bad, a.n) & a.mem)  # a member with an efficient non-member complement
+    low = _lowest(_reverse(c.bad, c.n) & c.mem)  # a member with an efficient non-member complement
     return (low, c.full ^ low) if low >= 0 else None
 
 
 def _ax_l3(c: _Ctx):
     # the unions of disjoint sub-collections; a value t disjoint from s joins it as t + s
-    a = c.arrays
-    unions = _closure(a.members, a.n, lambda bits, s, n: (bits & _down(1 << (c.full ^ s), n)) << s)
-    w = _lowest(unions & a.bad)
+    unions = _closure(c.sorted, c.n, lambda bits, s, n: (bits & _down(1 << (c.full ^ s), n)) << s)
+    w = _lowest(unions & c.bad)
     if w < 0:
         return None
-    u = next(u for u in _masks(unions & _down(1 << w, a.n), a.n) if 0 < u < w ^ u and unions >> (w ^ u) & 1)
+    u = next(u for u in _masks(unions & _down(1 << w, c.n), c.n) if 0 < u < w ^ u and unions >> (w ^ u) & 1)
     return (u, w ^ u, w)
 
 
 def _ax_sif3(c: _Ctx):
-    a = c.arrays
-    meets = _closure(reversed(a.members), a.n, _meets)
-    w = _lowest(meets & a.bad)  # with the least pair of other values that meets in it
-    return None if w < 0 else _first_pair(meets & _up(1 << w, a.n) ^ 1 << w, 1 << w, a.n, _meets, operator.and_)
+    meets = _closure(reversed(c.sorted), c.n, _meets)
+    w = _lowest(meets & c.bad)  # with the least pair of other values that meets in it
+    return None if w < 0 else _first_pair(meets & _up(1 << w, c.n) ^ 1 << w, 1 << w, c.n, _meets, operator.and_)
 
 
 def _ax_suf3(c: _Ctx):
-    a = c.arrays
-    return _first_pair(a.bad, a.mem, a.n, _joins, operator.or_)
+    return _first_pair(c.bad, c.mem, c.n, _joins, operator.or_)
 
 
 def _ax_uc1(c: _Ctx):
-    a = c.arrays
-    return _first_pair(a.mem, a.bad, a.n, _joins, operator.or_)
+    return _first_pair(c.mem, c.bad, c.n, _joins, operator.or_)
 
 
 def _ax_in1(c: _Ctx):
@@ -415,17 +433,15 @@ def _ax_uc2(c: _Ctx):
 
 
 def _ax_in2(c: _Ctx):
-    a = c.arrays
-    top = _lowest(_up(a.bad, a.n) & a.mem)  # a member above an efficient non-member
-    return (top, _lowest(_down(1 << top, a.n) & a.bad)) if top >= 0 else None
+    top = _lowest(_up(c.bad, c.n) & c.mem)  # a member above an efficient non-member
+    return (top, _lowest(_down(1 << top, c.n) & c.bad)) if top >= 0 else None
 
 
 def _ax_ma2(c: _Ctx):
-    for i, a in enumerate(c.sorted):
-        for b in c.sorted[i:]:
-            if a & b == 0 and b != c.full ^ a:
-                return (a, b)
-    return None
+    # a & b = 0 with b != X - a iff a lies strictly inside X - b; the relation is
+    # symmetric, so the least such member a has no partner below it
+    low = _lowest(_strict_down(_reverse(c.mem, c.n), c.n) & c.mem)
+    return (low, _lowest(c.mem & _strict_down(1 << (c.full ^ low), c.n))) if low >= 0 else None
 
 
 def _ax_ma3(c: _Ctx):
@@ -470,20 +486,6 @@ _AXIOMS = {
 KINDS = tuple(_AXIOMS)
 
 
-# Whole-array decisions: each is true exactly when the scan it is keyed by
-# finds a witness, so that scan runs only to produce the witness.
-_FAILS_ON_ARRAYS = {
-    _ax_q0: lambda a: a.mem & ~a.eff,
-    _ax_q1: lambda a: a.any_pair(np.bitwise_and, a.bad),
-    _ax_q2: lambda a: a.bad & _up(a.mem, a.n),
-    _ax_q4: lambda a: a.bad & ~_reverse(a.mem, a.n),
-    # some member lies strictly inside another's complement
-    _ax_ma2: lambda a: _strict_down(_reverse(a.mem, a.n), a.n) & a.mem,
-    # some three members cover X iff a complement lies inside the union of two
-    _ax_t3: lambda a: a.any_pair(np.bitwise_or, _up(_reverse(a.mem, a.n), a.n)),
-}
-
-
 def _check_input(sys: ConnectivitySystem, fam: SetFamily, kind: str) -> None:
     if kind not in _AXIOMS:
         raise InvalidParameter(f"unknown family kind {kind!r}")
@@ -506,19 +508,13 @@ def check_family(
     if single_mode not in ("QS1", "QSD1"):
         raise InvalidParameter(f"unknown single mode {single_mode!r}; expected QS1 or QSD1")
     c = _Ctx(sys, fam)
-    large = len(fam.members) >= ARRAY_MIN_MEMBERS
     axioms = _AXIOMS[kind]
     if single_mode == "QSD1":
         axioms = [(lab, fn) if lab != "QS1" else ("QSD1", _ax_qsd1) for lab, fn in axioms]
     for label, fn in axioms:
-        fails = _FAILS_ON_ARRAYS.get(fn) if large else None
-        if fails is not None and not fails(c.arrays):
-            continue
         witness = fn(c)
         if witness is not None:
             return Verdict(False, label, tuple(witness[:3]))
-        if fails is not None:
-            raise InternalError(f"axiom {label} fails on the membership arrays but its scan finds no witness")
     return Verdict(True)
 
 

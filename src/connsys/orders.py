@@ -114,31 +114,36 @@ def _nonempty_efficient(sys: ConnectivitySystem, k: int) -> list[int]:
     return [m for m in enumerate_k_efficient(sys, k) if m != 0]
 
 
-def _max_matching(family: list[int]) -> tuple[dict[int, int], list[list[int]]]:
+def _max_matching(family: list[int]) -> tuple[dict[int, int], dict[int, int], list[list[int]]]:
     """Deterministic Kuhn matching on the strict-inclusion bipartite graph.
 
     Returns the successor links succ_of, where succ_of[i] = j means family[i]
-    is immediately followed by family[j] in a chain of the cover, and the graph.
+    is immediately followed by family[j] in a chain of the cover, their
+    inverse pred_of, and the graph. Augmenting paths run hundreds of sets
+    deep, so each search keeps its own stack.
     """
     n = len(family)
     succ_of = {}  # left index -> right index
     pred_of = {}  # right index -> left index
     adj = [[j for j in range(n) if i != j and family[i] & ~family[j] == 0] for i in range(n)]
-
-    def augment(i, seen):
-        for j in adj[i]:
-            if j in seen:
+    for root in range(n):
+        seen = set()
+        stack = [(None, root, iter(adj[root]))]  # (the right vertex that led here, left vertex, its untried edges)
+        while stack:
+            for j in stack[-1][2]:
+                if j not in seen:
+                    break
+            else:
+                stack.pop()
                 continue
             seen.add(j)
-            if j not in pred_of or augment(pred_of[j], seen):
-                pred_of[j] = i
-                succ_of[i] = j
-                return True
-        return False
-
-    for i in range(n):
-        augment(i, set())
-    return succ_of, adj
+            if j not in pred_of:
+                for came, i, _ in reversed(stack):  # flip the path from its free end
+                    pred_of[j], succ_of[i] = i, j
+                    j = came
+                break
+            stack.append((j, pred_of[j], iter(adj[pred_of[j]])))
+    return succ_of, pred_of, adj
 
 
 def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[Chain]:
@@ -151,11 +156,10 @@ def min_chain_cover(sys: ConnectivitySystem, family: list[int], k: int) -> list[
     for mask in family:
         if sys.f(mask) > k:
             raise NotKEfficient(mask)
-    succ_of, _ = _max_matching(family)
-    has_pred = set(succ_of.values())
+    succ_of, pred_of, _ = _max_matching(family)
     chains = []
     for i in range(len(family)):
-        if i in has_pred:
+        if i in pred_of:
             continue
         path = [family[i]]
         cur = i
@@ -177,8 +181,7 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
     if not family:
         return Antichain((), k)
     n = len(family)
-    succ_of, adj = _max_matching(family)
-    pred_of = {j: i for i, j in succ_of.items()}
+    succ_of, pred_of, adj = _max_matching(family)
     # Koenig: alternating reachability from unmatched left vertices
     left_z = set(i for i in range(n) if i not in succ_of)
     right_z: set[int] = set()

@@ -407,6 +407,33 @@ def test_folded_kinds_decide_every_set_holding_an_element_at_n14():
     }
 
 
+def _dense_vertex_cut(n):
+    """A seeded vertex cut with 3n edges."""
+    rng = random.Random(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, rng.sample(pairs, 3 * n))
+
+
+@pytest.mark.parametrize(
+    "n, kind, keep, want",
+    [
+        # every efficient set but {v12}: the least two members that meet in it
+        (13, "filter", lambda m: m != 1 << 12, ("Q1", (4097, 4098, 4096))),
+        # every set of fewer than n/2 elements: the least three that cover X
+        (15, "tangle", lambda m: 2 * popcount(m) < 15, ("T3", (1, 254, 32512))),
+    ],
+    ids=["filter", "tangle"],
+)
+def test_large_failing_families_take_their_witness_from_the_bitsets(n, kind, keep, want):
+    """A failing pair axiom on thousands of members, at k = max f: found without a pairwise rescan."""
+    sys = _dense_vertex_cut(n)
+    family = fam(filter(keep, range(1 << n)), sys.max_value, n)
+    started = time.perf_counter()
+    verdict = check_family(sys, family, kind)
+    assert time.perf_counter() - started < 1.0
+    assert (verdict.violated_axiom, verdict.witnesses) == want
+
+
 def _random_cut_system(rng, n, vertex_cut):
     if vertex_cut:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -503,6 +530,20 @@ class TestMembershipArrays:
                     failed_above_gate.add(literal.violated_axiom)
         # every array-decided axiom, under each of its labels, fails on some family above the gate
         assert failed_above_gate >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2", "MA2"}
+
+    @pytest.mark.parametrize("gate", ["below", "above"])
+    def test_forked_axioms_match_the_literal_oracle(self, cut_families, gate, monkeypatch):
+        """Every kind with an axiom of two paths gives the literal scans' verdict and witness on either path."""
+        failed = set()
+        for sys, family in cut_families:
+            monkeypatch.setattr(families, "ARRAY_MIN_MEMBERS", 0 if gate == "above" else (1 << sys.n) + 1)
+            values = sys.array.tolist()
+            for kind in ARRAY_KINDS:
+                got = check_family(sys, family, kind)
+                want = oracle_first_violation(values, sys.n, family.members, family.k, kind)
+                assert (got.violated_axiom, got.witnesses) == (want or (None, ())), (sys.spec_kind, sys.n, family, kind)
+                failed.add(got.violated_axiom)
+        assert failed >= {"Q0", "Q1", "Q2", "Q4", "T1", "T2", "T3", "PI2", "CL1", "SUF2", "SIF2", "MA1", "MA2"}
 
     def test_folded_axioms_match_the_literal_oracle(self, cut_families, wide_cut_families):
         """Every kind with an axiom decided by 2^n-bit folds gives the literal scans' verdict and witness."""

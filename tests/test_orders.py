@@ -1,4 +1,6 @@
+import random
 from itertools import combinations
+from sys import _getframe, getrecursionlimit, setrecursionlimit
 
 import pytest
 
@@ -110,6 +112,26 @@ class TestMinChainCover:
                 cover = min_chain_cover(sys, family, k)
                 brute = brute_force_min_cover_size(sys, family, k)
                 assert len(antichain.sets) == len(cover) == brute
+
+    def test_matching_needs_no_call_stack(self, monkeypatch):
+        """Augmenting paths run hundreds of sets deep at n = 12; the search keeps them on its own stack."""
+        monkeypatch.setenv("CONNSYS_MAX_N", "12")
+        rng = random.Random(12)
+        pairs = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+        cut = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(12)], 12, rng.sample(pairs, 36))
+        family = [m for m in enumerate_k_efficient(cut, 15) if m]
+        assert len(family) == 677
+        frame, depth = _getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = getrecursionlimit()
+        setrecursionlimit(depth + 40)
+        try:
+            antichain = find_max_antichain(cut, 15)
+            cover = min_chain_cover(cut, family, 15)
+        finally:
+            setrecursionlimit(limit)
+        assert len(antichain.sets) == len(cover) == 148
 
     def test_cover_is_partition(self, c4_edge):
         family = [m for m in range(1, 16) if c4_edge.f(m) <= 2]
