@@ -63,6 +63,13 @@ def random_cut_systems(seed, count, max_n):
     return systems
 
 
+def dense_vertex_cut(n):
+    """A vertex cut of a graph with 3n edges, seeded by n."""
+    rng = random.Random(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, rng.sample(pairs, 3 * n))
+
+
 @pytest.fixture(scope="session")
 def trivial1():
     return ConnectivitySystem.from_table(["x"], {0: 0, 1: 0})

@@ -37,7 +37,7 @@ from connsys.errors import (
 )
 from connsys.families import KINDS
 
-from .conftest import all_three_element_systems, make_table_system, random_cut_systems
+from .conftest import all_three_element_systems, dense_vertex_cut, make_table_system, random_cut_systems
 from .oracles import oracle_family_holds, oracle_first_violation, oracle_fip, oracle_ft1, oracle_majority_violation
 
 
@@ -390,9 +390,7 @@ FOLDED_KINDS = (
 
 def test_folded_kinds_decide_every_set_holding_an_element_at_n14():
     """Every set that holds element 0, on a vertex cut with 3n edges at k = max f: each folded kind in under 2 s."""
-    rng = random.Random(14)
-    pairs = [(a, b) for a in range(14) for b in range(a + 1, 14)]
-    sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(14)], 14, rng.sample(pairs, 42))
+    sys = dense_vertex_cut(14)
     family = fam(range(1, 1 << 14, 2), sys.max_value, 14)
     verdicts = {}
     for kind in FOLDED_KINDS:
@@ -407,13 +405,6 @@ def test_folded_kinds_decide_every_set_holding_an_element_at_n14():
     }
 
 
-def _dense_vertex_cut(n):
-    """A seeded vertex cut with 3n edges."""
-    rng = random.Random(n)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(n)], n, rng.sample(pairs, 3 * n))
-
-
 @pytest.mark.parametrize(
     "n, kind, keep, want",
     [
@@ -426,7 +417,7 @@ def _dense_vertex_cut(n):
 )
 def test_large_failing_families_take_their_witness_from_the_bitsets(n, kind, keep, want):
     """A failing pair axiom on thousands of members, at k = max f: found without a pairwise rescan."""
-    sys = _dense_vertex_cut(n)
+    sys = dense_vertex_cut(n)
     family = fam(filter(keep, range(1 << n)), sys.max_value, n)
     started = time.perf_counter()
     verdict = check_family(sys, family, kind)
@@ -626,9 +617,7 @@ class TestBitsets:
     def test_check_family_keeps_no_wide_temporaries(self):
         # a boolean array over the 2^n masks takes 2^n bytes; the check keeps bitsets of 2^n / 8
         # bytes and unpacks only the table that a pair axiom gathers from
-        rng = random.Random(20)
-        pairs = [(a, b) for a in range(20) for b in range(a + 1, 20)]
-        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(20)], 20, rng.sample(pairs, 60))
+        sys = dense_vertex_cut(20)
         counts = np.bincount(sys.array.ravel()).cumsum()
         k = int(np.flatnonzero(counts <= 600)[-1])  # the largest k with at most 600 efficient sets
         uf = construct_ultrafilter(sys, k)

@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 from sys import _getframe, getrecursionlimit, setrecursionlimit
 
@@ -33,7 +32,7 @@ from connsys.errors import (
 )
 from connsys.orders import THEOREM_IDS
 
-from .conftest import all_three_element_systems, random_cut_systems
+from .conftest import all_three_element_systems, dense_vertex_cut, random_cut_systems
 from .oracles import (
     oracle_all_chains,
     oracle_k_efficient,
@@ -116,9 +115,7 @@ class TestMinChainCover:
     def test_matching_needs_no_call_stack(self, monkeypatch):
         """Augmenting paths run hundreds of sets deep at n = 12; the search keeps them on its own stack."""
         monkeypatch.setenv("CONNSYS_MAX_N", "12")
-        rng = random.Random(12)
-        pairs = [(a, b) for a in range(12) for b in range(a + 1, 12)]
-        cut = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(12)], 12, rng.sample(pairs, 36))
+        cut = dense_vertex_cut(12)
         family = [m for m in enumerate_k_efficient(cut, 15) if m]
         assert len(family) == 677
         frame, depth = _getframe(), 0
