@@ -40,11 +40,11 @@ from .errors import (
     NotAFilter,
 )
 
-# Q0, Q1, Q2, Q4 and T3 take verdict and witness from one bitset pass on
-# families this large and scan literally below: the co-tangle audit checks
-# about 43k smaller families a round of the `small` bench workload, where on
-# 2 CPUs bitsets for Q4 and T3 raised job_p50_ms by 6-11% and for Q2 as well
-# raised solve_s by 14%. A blocked pair table decides Q1 faster than meet counts.
+# Q0, Q1, Q2, Q4 and T3 take verdict and witness from one bitset pass on families
+# this large and scan literally below; MA2 has only the bitset pass. The co-tangle
+# audit checks about 43k smaller families a `small` bench round, where on 2 CPUs
+# bitsets for Q4 and T3 raised job_p50_ms by 6-11% and for Q2 as well raised
+# solve_s by 14%. A blocked pair table decides Q1 faster than meet counts.
 ARRAY_MIN_MEMBERS = 17
 
 
