@@ -77,21 +77,28 @@ class _PairSearch:
       that is efficient;
     - putting a set out puts its complement in.
 
-    Propagation reaches the least fixpoint of these rules, and skips every
-    firing that can only re-derive a set that is already decided or queued:
+    Propagation reaches the least fixpoint of these rules in batches. A set
+    s that goes in brings in, as one batch, every efficient superset of s
+    that is not in yet, and fails if one of them is out, so the members are
+    up-closed within the efficient sets after every batch. s meets every
+    earlier member t and queues an efficient s & t that is not in. The t
+    with s & t not efficient are s's partners, and the other sets c of the
+    batch meet only those. This misses no set:
 
-    - a set queued by a member's superset scan gets that member as its root,
-      for the length of one propagation, and later scans do not queue it
-      again. When it goes in, it skips its own
-      superset scan, which the root's scan contains, and it meets only the
-      members that do not contain the root: the other intersections are
-      efficient supersets of the root, so they are queued already;
-    - a single_ultrafilter member s with an efficient s - e skips its
-      superset scan, because s - e goes in too and the scan made below it
-      covers the supersets of s.
+    - for every other t, c & t contains the efficient s & t, which goes in
+      with its supersets, so an efficient c & t goes in with them;
+    - meets inside a batch contain s, so they are in the batch;
+    - a later member meets c when it goes in.
+
+    Ultrafilter puts the complement of each batch member out, and fails if
+    one of them is in. A single_ultrafilter set s with an efficient s - e
+    goes in alone, because s - e goes in too and the batch made below it
+    holds the supersets of s. Any other s goes in with its batch, and each
+    other c queues c - e only for the efficient singletons e in s: for e
+    outside s, c - e contains s, so it is in the batch.
 
     These kinds keep sparse lists because their work follows the efficient
-    sets: a member's superset scan reads a memoised list, where a bitset
+    sets: a batch is read from a memoised superset list, where a bitset
     rule would pass over all 2^n masks however few are efficient. Tangles
     are decided on bitsets by ``_TangleSearch``.
 
@@ -99,9 +106,9 @@ class _PairSearch:
     order with the "in" branch first, so completed families come out in
     lexicographic decision-vector order (complement pairs ordered by
     representative bitmask). Construction and extension grow a filter with
-    ``add``. ``ops`` counts propagation work: one per set put in and one per
-    efficient superset or member intersection examined. Skipped scans and
-    pairs are not examined, so they are not counted.
+    ``add``. ``ops`` counts propagation work: one per set put in, one per
+    entry of a superset list read, and one per pair of sets met. The meets
+    that the partner rule skips are not examined, so they are not counted.
     """
 
     def __init__(self, sys: ConnectivitySystem, k: int, kind: str):
@@ -147,47 +154,55 @@ class _PairSearch:
         return True
 
     def _propagate(self, queue: list[int]) -> bool:
-        state, ins, kind, full = self.state, self.ins, self.kind, self.full
-        root: dict[int, int] = {}  # set queued by a member's superset scan -> that member
-        partners: dict[int, tuple[list[int], int]] = {}  # root -> (members without it, len(ins) seen)
+        state, ins, trail, kind, full = self.state, self.ins, self.trail, self.kind, self.full
         while queue:
             s = queue.pop()
             if state[s] == _IN:
                 continue
             if state[s] == _OUT or s == 0:
                 return False
-            state[s] = _IN
-            self.trail.append(s)
-            ins.append(s)
-            self.ops += 1
-            if kind == "ultrafilter" and not self._set_out(full ^ s):
-                return False
-            r = root.get(s)
-            rests = ()
             if kind == "single_ultrafilter":
                 # an efficient s - e goes in too, and its supersets include those of s
                 rests = [s ^ e for e in self.eff_singletons if s & e and state[s ^ e] != _NEVER]
-            if r is None and not rests:
-                sups = self._supersets(s)
-                self.ops += len(sups)
-                for c in sups:
-                    if state[c] != _IN and c not in root:
-                        queue.append(c)
-                        root[c] = s
+                if rests:
+                    state[s] = _IN
+                    trail.append(s)
+                    ins.append(s)
+                    self.ops += 1
+                    queue.extend([rest for rest in rests if state[rest] < _IN])
+                    continue
+            sups = self._supersets(s)
+            batch = [c for c in sups if state[c] != _IN]  # batch[0] is s, the least of its supersets
+            self.ops += len(sups) + len(batch)
+            if _OUT in map(state.__getitem__, batch):
+                return False
+            for c in batch:
+                state[c] = _IN
+            trail += batch
             if kind == "single_ultrafilter":
-                queue.extend([rest for rest in rests if state[rest] < _IN])
+                if len(batch) > 1:
+                    # c - e lies above s for every e outside s, so it is in the batch
+                    drops = [e for e in self.eff_singletons if s & e]
+                    queue += [c ^ e for c in batch[1:] for e in drops if state[c ^ e] < _IN]
+                ins += batch
                 continue
-            if r is None:
-                pool = ins
-            else:
-                # members that contain r meet s in a superset of r, which r's scan queued
-                pool, seen = partners.get(r, ([], 0))
-                pool.extend([t for t in ins[seen:] if t & r != r])
-                partners[r] = pool, len(ins)
-            self.ops += len(pool)
-            for t in pool:
-                if state[s & t] < _IN:
-                    queue.append(s & t)
+            if kind == "ultrafilter":
+                comps = [full ^ c for c in batch]
+                if _IN in map(state.__getitem__, comps):
+                    return False
+                comps = [d for d in comps if state[d] == _UNKNOWN]
+                for d in comps:
+                    state[d] = _OUT
+                trail += comps
+            # c & t contains s & t for every c in the batch: an efficient s & t goes in with its
+            # supersets, so the batch meets only the members t for which s & t is not efficient
+            meets = [s & t for t in ins]
+            partners = [t for t, m in zip(ins, meets) if state[m] == _NEVER]
+            queue += [m for m in meets if state[m] < _IN]
+            self.ops += len(ins) + len(partners) * (len(batch) - 1)
+            if partners:
+                queue += [m for c in batch[1:] for t in partners if state[m := c & t] < _IN]
+            ins += batch
         return True
 
     def add(self, mask: int) -> bool:
@@ -206,10 +221,10 @@ class _PairSearch:
 
     def _dfs(self, pos, results, non_principal_only, limit) -> bool:
         """Complete the state from keff[pos] on; False once limit families are found."""
-        keff, state = self.keff, self.state
-        while pos < len(keff) and state[keff[pos]] != _UNKNOWN:
+        keff, state, end = self.keff, self.state, len(self.keff)
+        while pos < end and state[keff[pos]] != _UNKNOWN:
             pos += 1
-        if pos == len(keff):
+        if pos == end:
             return _record(self, self.ins, results, non_principal_only, limit)
         mask = keff[pos]
         for branch in (_IN, _OUT):
@@ -368,9 +383,11 @@ def construct_ultrafilter_with_stats(sys: ConnectivitySystem, k: int) -> tuple[S
     greedy consistent inclusion in ascending bitmask order, then decide the
     remaining complement pairs as extension does. The operation count is 2^n
     for the candidate scan, one per candidate in each of the two passes, and
-    the propagation work: one per set put in and one per efficient superset
-    or member intersection examined. It is asserted against the budget
-    64 * 4^n.
+    the propagation work: one per set put in, one per efficient superset
+    read when a set brings its supersets in, and one per pair of sets met,
+    which pairs each such set with every earlier member and the rest of its
+    batch with its partners only (see ``_PairSearch``). It is asserted
+    against the budget 64 * 4^n.
     """
     if k < 0:
         raise InvalidParameter("the efficiency bound must be non-negative")

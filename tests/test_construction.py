@@ -31,7 +31,7 @@ from connsys.errors import (
     NotAFilter,
 )
 
-from .conftest import all_three_element_systems, random_cut_systems
+from .conftest import all_three_element_systems, dense_vertex_cut, random_cut_systems
 from .oracles import (
     oracle_closure,
     oracle_family_holds,
@@ -84,25 +84,34 @@ class TestEnumerate:
                     want.sort(key=lambda F: [m not in F for m in keff])
                     assert got == want, (sys.spec_kind, sys.n, k, kind)
 
-    def test_tangle_completeness_against_brute_force_at_n4(self):
-        """Every family of efficient sets, at each k where there are 6 to 12 of them."""
+    @pytest.mark.parametrize("kind", ["ultrafilter", "tangle", "single_ultrafilter"])
+    def test_completeness_against_brute_force_at_n4(self, kind):
+        """Every family of efficient sets, in canonical order, at each k with at most 12 of them.
+
+        Every level has an ultrafilter, so ultrafilter levels without a family
+        come from non_principal_only, which is checked at every level.
+        """
         rng = random.Random(1404)
         counts = Counter()
-        while sum(counts.values()) < 40:
+        while sum(counts.values()) < 160:
             sys = random_cut_system(rng, 4, min_n=4)
             for k in range(sys.max_value + 1):
                 keff = enumerate_k_efficient(sys, k)
-                if not 6 <= len(keff) <= 12:
+                if len(keff) > 12:
                     continue
                 want = []
                 for bitset in range(1 << len(keff)):
                     members = frozenset(m for j, m in enumerate(keff) if bitset >> j & 1)
-                    if oracle_family_holds(sys.array.tolist(), 4, members, k, "tangle"):
+                    if oracle_family_holds(sys.array.tolist(), 4, members, k, kind):
                         want.append(members)
                 want.sort(key=lambda F: [m not in F for m in keff])
-                got = [f.members for f in enumerate_families(sys, EnumerationRequest("tangle", k))]
-                assert got == want, (sys.spec_kind, sys.n, k)
-                counts[min(len(got), 2)] += 1
+                for non_principal_only in (False, True):
+                    if non_principal_only:
+                        want = [F for F in want if all(m.bit_count() != 1 for m in F)]
+                    req = EnumerationRequest(kind, k, non_principal_only)
+                    got = [f.members for f in enumerate_families(sys, req)]
+                    assert got == want, (sys.spec_kind, sys.n, k, non_principal_only)
+                    counts[min(len(got), 2)] += 1
         assert counts[0] and counts[1] and counts[2], counts
 
     def test_limit_and_determinism(self, k4_edge):
@@ -243,7 +252,28 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         checked["tangle", closed is not None] += 1
         return closed
 
+    real_supersets = _PairSearch._supersets
+    depth = 0
+
+    def counted_supersets(self, mask):
+        # the outermost call is a batch root's, made before its batch goes in
+        nonlocal depth
+        depth += 1
+        sups = real_supersets(self, mask)
+        depth -= 1
+        batch = [c for c in sups if self.state[c] != _IN and c != mask]
+        if depth or not batch or any(self.state[c] == _OUT for c in batch):
+            return sups
+        if self.kind == "single_ultrafilter":
+            drops = [1 << i for i in range(self.sys.n) if mask >> i & 1 and self.sys.f(1 << i) <= self.k]
+            if any(self.sys.f(c ^ e) <= self.k and self.state[c ^ e] != _IN for c in batch for e in drops):
+                checked["single_ultrafilter", "batch queues c - e"] += 1
+        elif any(self.sys.f(mask & t) > self.k for t in self.ins):
+            checked[self.kind, "batch meets a partner"] += 1
+        return sups
+
     monkeypatch.setattr(_PairSearch, "_propagate", checked_propagate)
+    monkeypatch.setattr(_PairSearch, "_supersets", counted_supersets)
     monkeypatch.setattr(_TangleSearch, "_close", checked_close)
     rng = random.Random(8)
     systems = [
@@ -251,6 +281,8 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
         ConnectivitySystem.from_vertex_cut("abcde", 5, [(2, 3), (0, 2), (0, 3), (0, 1), (1, 4), (1, 2)]),
         # at k = 0 a tangle member's own pair puts out sets that no other pair does
         ConnectivitySystem.from_vertex_cut("abcdef", 6, [(1, 5), (0, 2), (0, 3)]),
+        # at k = 2 a single_ultrafilter batch queues a member minus an element of its root
+        ConnectivitySystem.from_vertex_cut("abcdef", 6, [(4, 5), (0, 1), (2, 5), (1, 4), (0, 4), (3, 5)]),
     ]
     for n in [2, 3, 4, 5, 6] * 3:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -269,6 +301,27 @@ def test_propagation_reaches_the_least_fixpoint(monkeypatch):
     assert checked["filter", True]
     for kind in ("ultrafilter", "tangle", "single_ultrafilter"):
         assert checked[kind, True] and checked[kind, False], (kind, checked)
+    assert checked["filter", "batch meets a partner"] and checked["ultrafilter", "batch meets a partner"], checked
+    assert checked["single_ultrafilter", "batch queues c - e"], checked
+
+
+@pytest.mark.parametrize("kind", ["filter", "ultrafilter", "single_ultrafilter"])
+def test_propagation_fails_on_a_superset_that_is_out(kind):
+    """Seeds that no search makes: an efficient proper superset c of the seed s is out, and its complement queued.
+
+    s goes in with c, so every such propagation fails. For single_ultrafilter
+    at k = 1, with s = {a, c} and {a, c, d} out, that set is the only conflict.
+    """
+    sys = ConnectivitySystem.from_vertex_cut("abcde", 5, [(1, 4), (0, 1), (0, 2)])
+    full = sys.full_mask
+    for k in range(sys.max_value + 1):
+        keff = enumerate_k_efficient(sys, k)
+        for s in keff[1:]:
+            for c in keff:
+                if c & s == s and c != s:
+                    search = _PairSearch(sys, k, kind)
+                    search._set_out(c)
+                    assert not search._propagate([full ^ c, s]), (k, s, c)
 
 
 class TestConstruct:
@@ -297,6 +350,16 @@ class TestConstruct:
         fam, ops = construct_ultrafilter_with_stats(sys, 15)
         assert (len(keff), len(fam.members)) == (1158, 579)
         assert ops <= 2**16 + 4 * len(keff)
+
+    def test_batches_bound_the_work(self):
+        # a set's efficient supersets go in as one batch, which meets only the members
+        # whose meet with the set is not efficient; queueing each superset on its own
+        # and meeting it with every member not above the set took 5523 and 69413
+        search = _PairSearch(dense_vertex_cut(8), 14, "ultrafilter")
+        assert len(search.run(False, None)) == 8
+        assert search.ops <= 3121
+        _, ops = construct_ultrafilter_with_stats(dense_vertex_cut(16), 15)
+        assert ops <= 69412
 
     def test_negative_k_rejected(self, trivial1):
         with pytest.raises(InvalidParameter):
