@@ -6,8 +6,8 @@ with whole-array operations in place of loops over the masks. A system
 stores one form of f: the validated array, read-only and in the narrowest
 unsigned dtype that holds max f. Scans over all subsets (such as the
 k-efficient index) read it whole, single lookups read one entry, and the
-width DPs, which look up every entry many times, copy it to a list that
-lives only while they run.
+branch-width DP, which looks up every entry many times, copies it to a
+list that lives only while it runs.
 """
 
 from __future__ import annotations

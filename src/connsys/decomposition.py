@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .construction import EnumerationRequest, enumerate_families
 from .core import ConnectivitySystem, gate_limit, popcount
@@ -144,15 +147,12 @@ def ordering_width(sys: ConnectivitySystem, ordering: LinearOrdering) -> int:
 
 
 def _memoised_width(sys: ConnectivitySystem, mode: str, search) -> WidthResult:
-    """Check the size gate, then run the verified search at most once per system.
+    """Run the verified search at most once per system.
 
     The result depends on the function alone, so it is kept on the system
     and every later call (duality audits at each k and kind, the
     TSC-decomposition audit, the width command) returns it.
     """
-    limit = gate_limit(WIDTH_MAX_N)
-    if sys.n > limit:
-        raise GroundSetTooLargeForExhaustiveSearch(f"{mode}-width search is gated to n <= {limit}")
     if mode not in sys.widths:
         sys.widths[mode] = search(sys)
     return sys.widths[mode]
@@ -166,8 +166,11 @@ def branch_width(sys: ConnectivitySystem) -> WidthResult:
     edge above S and every edge below it: f(S) for a singleton, else the larger of f(S) and the
     minimum over splits S = B + C of max(h(B), h(C)), where B holds the lowest
     element of S (Robertson & Seymour, Graph Minors X). The width is
-    h(X - x). Computed once per system.
+    h(X - x). Computed once per system; the size gate is checked on every call.
     """
+    limit = gate_limit(WIDTH_MAX_N)
+    if sys.n > limit:
+        raise GroundSetTooLargeForExhaustiveSearch(f"branch-width search is gated to n <= {limit}")
     return _memoised_width(sys, "branch", _branch_width_dp)
 
 
@@ -228,42 +231,60 @@ def _branch_width_dp(sys: ConnectivitySystem) -> WidthResult:
 def linear_width(sys: ConnectivitySystem) -> WidthResult:
     """Exact linear-width with the lexicographically first optimal ordering.
 
-    A subset DP from the full set downward: h(P) is the least possible maximum
-    of f over P and the proper prefixes after it, in O(n * 2^n). The width is
-    the larger of h(empty) and the largest singleton value; the ordering takes,
-    at each step, the smallest element that keeps within the width. Computed
-    once per system.
+    f(empty) = f(X) = 0, so the width is the larger of the largest singleton
+    value and the least k with a sequence chain, whose chain is the ordering.
+    The singleton bound is tried first, then the values of f above it by
+    binary search: at most n + 1 layered searches. Computed once per system.
     """
-    return _memoised_width(sys, "linear", _linear_width_dp)
+    return _memoised_width(sys, "linear", _least_chain_width)
 
 
-def _linear_width_dp(sys: ConnectivitySystem) -> WidthResult:
-    n = sys.n
-    f = sys.array.tolist()
-    full = sys.full_mask
-    h = [0] * (full + 1)  # h(X) = 0: the full set is no proper prefix
-    for p in range(full - 1, -1, -1):
-        c = full ^ p
-        best = h[p | (c & -c)]
-        c &= c - 1
-        while c:
-            v = h[p | (c & -c)]
-            if v < best:
-                best = v
-            c &= c - 1
-        h[p] = f[p] if f[p] > best else best
-    width = max(h[0], max(f[1 << e] for e in range(n)))
-    order = []
-    p = 0
-    for _ in range(n):
-        e = next(e for e in range(n) if not p >> e & 1 and h[p | 1 << e] <= width)
-        order.append(e)
-        p |= 1 << e
-    cert = LinearOrdering(tuple(order))
-    got = ordering_width(sys, cert)
-    if got != width:
-        raise InternalError(f"linear-width certificate re-evaluates to {got}, not {width}")
-    return WidthResult(width, cert)
+def _least_chain_width(sys: ConnectivitySystem) -> WidthResult:
+    width = max(sys.f(1 << e) for e in range(sys.n))
+    sets = _sequence_chain(sys, width)
+    if sets is None:  # max f always has a chain
+        above = np.sort(sys.array[sys.array > width])
+        above = above[np.append(True, above[1:] != above[:-1])].tolist()  # the distinct values, ascending
+        width = above[bisect.bisect_left(above, True, key=lambda k: _sequence_chain(sys, k) is not None)]
+        sets = _sequence_chain(sys, width)
+    result = chain_to_decomposition(sys, sets)
+    if result.width != width:
+        raise InternalError(f"linear-width certificate re-evaluates to {result.width}, not {width}")
+    return result
+
+
+def _sequence_chain(sys: ConnectivitySystem, k: int) -> list[int] | None:
+    """The prefixes of the lexicographically first ordering with every prefix at f <= k, or None.
+
+    A FIFO layered search in which each set keeps the first set that reaches
+    it, so by induction each layer is in the lexicographic order of its sets'
+    first orderings.
+    """
+    if sys.f(0) > k:
+        return None
+    eff = sys.array <= k
+    bits = 1 << np.arange(sys.n, dtype=np.int64)
+    first = np.empty(1 << sys.n, dtype=np.int64)  # first[S]: where S is first reached in its layer
+    layers = [np.zeros(1, dtype=np.int64)]  # the sets of each size reached, in queue order
+    parents = []  # parents[i][j]: index in layers[i] of the set that reached layers[i + 1][j]
+    for _ in range(sys.n):
+        layer = layers[-1]
+        cand = layer[:, None] | bits  # row-major: by queue position, then by added element
+        keep = np.flatnonzero((cand != layer[:, None]) & eff[cand])
+        if not keep.size:
+            return None
+        reached = cand.ravel()[keep]
+        order = np.arange(reached.size)
+        first[reached] = reached.size  # above every position, then lowered to the first
+        np.minimum.at(first, reached, order)
+        new = first[reached] == order  # first discoveries, in the order a FIFO queue makes them
+        layers.append(reached[new])
+        parents.append(keep[new] // sys.n)
+    path, at = [sys.full_mask], 0  # the last layer is X alone
+    for layer, parent in zip(reversed(layers[:-1]), reversed(parents)):
+        at = parent[at]
+        path.append(int(layer[at]))
+    return path[::-1]
 
 
 def duality_audit(sys: ConnectivitySystem, k: int, kind: str) -> DualityVerdict:

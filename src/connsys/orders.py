@@ -14,11 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construction import ENUMERATION_MAX_N, EnumerationRequest, enumerate_families
 from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
-from .decomposition import branch_width
+from .decomposition import _sequence_chain, branch_width
 from .errors import (
     ChainOrderBroken,
     EfficiencyViolation,
@@ -248,35 +246,13 @@ def brute_force_min_cover_size(sys: ConnectivitySystem, family: list[int], k: in
 def find_sequence_chain(sys: ConnectivitySystem, k: int) -> Chain | None:
     """A chain from the empty set to X, one element per step, with all values at most k, or None.
 
-    The chain is the one a breadth-first search finds when it expands each
-    set by its absent elements in ascending order.
+    The chain is the one a FIFO breadth-first search finds when it expands
+    each set by its absent elements in ascending order and keeps the first
+    parent of each set: the prefixes of the lexicographically first ordering
+    whose prefixes all have f <= k.
     """
-    full = sys.full_mask
-    if sys.f(0) > k:
-        return None
-    eff = sys.array <= k
-    bits = 1 << np.arange(sys.n, dtype=np.int64)
-    first = np.empty(1 << sys.n, dtype=np.int64)  # first[S]: where S is first reached in its layer
-    layers = [np.zeros(1, dtype=np.int64)]  # the sets of each size reached, in queue order
-    parents = []  # parents[i][j]: index in layers[i] of the set that reached layers[i + 1][j]
-    for _ in range(sys.n):
-        layer = layers[-1]
-        cand = layer[:, None] | bits  # row-major: by queue position, then by added element
-        keep = np.flatnonzero((cand != layer[:, None]) & eff[cand])
-        if not keep.size:
-            return None
-        reached = cand.ravel()[keep]
-        order = np.arange(reached.size)
-        first[reached] = reached.size  # above every position, then lowered to the first
-        np.minimum.at(first, reached, order)
-        new = first[reached] == order  # first discoveries, in the order a FIFO queue makes them
-        layers.append(reached[new])
-        parents.append(keep[new] // sys.n)
-    path, at = [full], 0  # the last layer is X alone
-    for layer, parent in zip(reversed(layers[:-1]), reversed(parents)):
-        at = parent[at]
-        path.append(int(layer[at]))
-    return make_chain(sys, reversed(path), k)
+    sets = _sequence_chain(sys, k)
+    return None if sets is None else make_chain(sys, sets, k)
 
 
 def chain_extend_single(sys: ConnectivitySystem, chain: Chain, element: int) -> Chain:

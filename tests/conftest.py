@@ -4,6 +4,8 @@ import pytest
 
 from connsys import ConnectivitySystem
 
+from .oracles import oracle_symmetric_submodular_tables
+
 
 @pytest.fixture(scope="session")
 def c4_edge():
@@ -83,6 +85,23 @@ def trivial2():
 @pytest.fixture(scope="session")
 def trivial3():
     return ConnectivitySystem.from_table(["a", "b", "c"], {m: 0 for m in range(8)})
+
+
+@pytest.fixture(scope="session")
+def exhaustive_systems():
+    """Every system with n = 4 and values at most 3, and every one with n = 5 and values at most 2, by n."""
+    systems = {}
+    for n, top in ((4, 3), (5, 2)):
+        labels = [chr(ord("a") + i) for i in range(n)]
+        tables = oracle_symmetric_submodular_tables(n, top)
+        systems[n] = [ConnectivitySystem.from_table(labels, dict(enumerate(values))) for values in tables]
+    return systems
+
+
+@pytest.fixture(scope="session")
+def seeded_cuts_9_to_12():
+    """The seeded cut systems with n = 9..12 among 120 drawn with n = 1..12."""
+    return [sys for sys in random_cut_systems(91712, 120, 12) if sys.n >= 9]
 
 
 def make_table_system(n, pair_values):

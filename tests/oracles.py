@@ -544,6 +544,63 @@ def oracle_tree_width(values, n, edges):
     return width
 
 
+def oracle_linear_width(values, n):
+    """Exact linear width and the lexicographically first ordering within it, as (width, order).
+
+    A subset DP from the full set downward: h(P) is the least possible maximum
+    of f over P and the proper prefixes after it, with h(X) = 0. The width is
+    the larger of h(empty) and the largest singleton value; the ordering takes,
+    at each step, the smallest element that keeps within the width.
+    """
+    full = (1 << n) - 1
+    h = [0] * (full + 1)
+    for p in range(full - 1, -1, -1):
+        h[p] = max(values[p], min(h[p | 1 << e] for e in range(n) if not p >> e & 1))
+    width = max(h[0], max(values[1 << e] for e in range(n)))
+    order, p = [], 0
+    for _ in range(n):
+        e = next(e for e in range(n) if not p >> e & 1 and h[p | 1 << e] <= width)
+        order.append(e)
+        p |= 1 << e
+    return width, tuple(order)
+
+
+def oracle_symmetric_submodular_tables(n, max_value):
+    """Every table of values 0..max_value over n elements with f(empty) = 0, f(A) = f(X - A)
+    and f(S+i) + f(S+j) >= f(S) + f(S+i+j) for all S and i != j outside S.
+
+    Backtracking gives one value to each complement pair, smaller side first
+    (the side without element n-1 on a tie), and checks each local condition
+    as soon as its four values are set.
+    """
+    full = (1 << n) - 1
+    sides = sorted({min(m, full ^ m, key=lambda s: (bits(s), s)) for m in range(1, full)}, key=lambda s: (bits(s), s))
+    position = {0: -1, full: -1}
+    for t, side in enumerate(sides):
+        position[side] = position[full ^ side] = t
+    checks = [[] for _ in sides]
+    for s in range(full + 1):
+        for i, j in combinations([e for e in range(n) if not s >> e & 1], 2):
+            quad = (s | 1 << i, s | 1 << j, s, s | 1 << i | 1 << j)
+            last = max(position[m] for m in quad)
+            if last >= 0:
+                checks[last].append(quad)
+    values = [0] * (full + 1)
+    tables = []
+
+    def assign(t):
+        if t == len(sides):
+            tables.append(tuple(values))
+            return
+        for v in range(max_value + 1):
+            values[sides[t]] = values[full ^ sides[t]] = v
+            if all(values[a] + values[b] >= values[c] + values[d] for a, b, c, d in checks[t]):
+                assign(t + 1)
+
+    assign(0)
+    return tables
+
+
 def oracle_generate_from_subbase(values, n, subbase, k):
     """Fixpoint closure: all finite intersections, then efficient up-closure.
 

@@ -102,6 +102,23 @@ def test_branch_certificate_parents_are_pinned(files, capsys, tmp_path, instance
     assert (code, report["result"]) == (0, {"width": width, "evaluated": True})
 
 
+@pytest.mark.parametrize("n", [17, 20])
+def test_linear_width_runs_past_the_branch_width_gate(files, capsys, tmp_path, monkeypatch, n):
+    """Linear width is bounded by the ground-set cap alone; branch width keeps its gate."""
+    monkeypatch.delenv("CONNSYS_MAX_N", raising=False)
+    inst = files(f"v{n}.json", seeded_vertex_cut(n, 3 * n, n))
+    code, report, err = run(capsys, "width", "linear", inst, "--certificate")
+    assert (code, err) == (0, "")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(report["result"]["certificate"]))
+    code, evaluated, err = run(capsys, "width", "linear", inst, "--eval-certificate", str(path))
+    assert (code, evaluated["result"], err) == (0, {"width": report["result"]["width"], "evaluated": True}, "")
+    if n == 17:
+        code, report, err = run(capsys, "width", "branch", inst)
+        assert (code, report) == (2, None)
+        assert err == "GroundSetTooLargeForExhaustiveSearch: branch-width search is gated to n <= 16\n"
+
+
 def test_family_check_holds(files, capsys):
     inst = files("c4.json", C4_EDGES)
     fam = files("fX.json", {"k": 1, "sets": [["e1", "e2", "e3", "e4"]]})
@@ -561,25 +578,25 @@ def test_audit_k_range_reports_past_a_gated_k(files, capsys, n, theorems, k_rang
         assert report_k["result"]["audits"] == [entry]
 
 
-def test_audit_runs_each_width_dp_once(files, capsys, monkeypatch):
+def test_audit_runs_each_width_search_once(files, capsys, monkeypatch):
     from connsys import decomposition
 
-    calls = {"branch": 0, "linear": 0}
-    for mode in calls:
-        dp = getattr(decomposition, f"_{mode}_width_dp")
+    calls = {"_branch_width_dp": 0, "_least_chain_width": 0}
+    for name in calls:
+        search = getattr(decomposition, name)
 
-        def counted(sys, mode=mode, dp=dp):
-            calls[mode] += 1
-            return dp(sys)
+        def counted(sys, name=name, search=search):
+            calls[name] += 1
+            return search(sys)
 
-        monkeypatch.setattr(decomposition, f"_{mode}_width_dp", counted)
+        monkeypatch.setattr(decomposition, name, counted)
     inst = files("c4.json", C4_EDGES)
     max_f = load_instance(inst).max_value
     code, report, err = run(capsys, "audit", inst, "--theorems", "all", "--k-range", f"0..{max_f}")
     assert code in (0, 1) and err == ""
     assert len(report["result"]["audits"]) == max_f + 1
     assert all("gated" not in entry for entry in report["result"]["audits"])
-    assert calls == {"branch": 1, "linear": 1}
+    assert calls == {"_branch_width_dp": 1, "_least_chain_width": 1}
 
 
 def test_audit_enumerates_the_ultrafilters_once_per_k(files, capsys, monkeypatch):

@@ -172,6 +172,17 @@ class TestExtend:
         with pytest.raises(NotAFilter):
             extend_filter_to_ultrafilter(c4_edge, SetFamily.of([0b0001], 2, 4))
 
+    def test_second_set_of_a_batch_meets_the_partners(self):
+        """Extending the filter above {v0, v1, v2, v3, v5, v6} at k = 7 on this 15-edge vertex cut needs
+        the meets of the second set of a batch with its root's partners: without them the extension
+        raises InternalError, finding an undecided pair neither side of which extends consistently."""
+        edges = [(3, 4), (4, 6), (4, 5), (1, 6), (0, 2), (0, 1), (2, 5), (3, 6), (0, 3), (2, 6), (2, 4)]
+        edges += [(1, 3), (2, 3), (1, 4), (0, 6)]
+        sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(7)], 7, edges)
+        base = up_closed(sys, [0b1101111], 7)
+        want = oracle_greedy_ultrafilter(sys.array.tolist(), sys.n, 7, base.members)
+        assert extend_filter_to_ultrafilter(sys, base).members == want
+
     def test_random_filters_extend_to_supersets(self):
         rng = random.Random(20240817)
         systems = all_three_element_systems((0, 1, 2))

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import pytest
@@ -24,7 +25,8 @@ from connsys.errors import (
     NotSingleElement,
 )
 
-from .oracles import oracle_branch_trees, oracle_branch_width, oracle_tree_width
+from .conftest import dense_vertex_cut
+from .oracles import oracle_branch_trees, oracle_branch_width, oracle_linear_width, oracle_tree_width
 
 
 def double_factorial_odd(n):
@@ -172,12 +174,22 @@ class TestBranchWidth:
         with pytest.raises(GroundSetTooLargeForExhaustiveSearch):
             branch_width(sys)
 
-    @pytest.mark.parametrize("width", [branch_width, linear_width])
-    def test_memoised_result_keeps_the_gate(self, monkeypatch, width):
+    def test_memoised_result_keeps_the_gate(self, monkeypatch):
         from connsys import decomposition
 
         monkeypatch.setattr(decomposition, "WIDTH_MAX_N", 4)  # a gate below this 5-element path
         monkeypatch.setenv("CONNSYS_MAX_N", "5")
+        edges = [(i, i + 1) for i in range(4)]
+        sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(5)], 5, edges)
+        first = branch_width(sys)
+        monkeypatch.delenv("CONNSYS_MAX_N")
+        with pytest.raises(GroundSetTooLargeForExhaustiveSearch, match="gated to n <= 4$"):
+            branch_width(sys)
+        monkeypatch.setenv("CONNSYS_MAX_N", "5")
+        assert branch_width(sys) is first
+
+    @pytest.mark.parametrize("width", [branch_width, linear_width])
+    def test_result_is_memoised(self, width):
         edges = [(i, i + 1) for i in range(4)]
         sys = ConnectivitySystem.from_vertex_cut([str(i) for i in range(5)], 5, edges)
         first = width(sys)
@@ -185,9 +197,6 @@ class TestBranchWidth:
         # the memo takes no part in equality or hashing
         twin = ConnectivitySystem.from_vertex_cut([str(i) for i in range(5)], 5, edges)
         assert twin == sys and hash(twin) == hash(sys)
-        monkeypatch.delenv("CONNSYS_MAX_N")
-        with pytest.raises(GroundSetTooLargeForExhaustiveSearch, match="gated to n <= 4$"):
-            width(sys)
 
 
 class TestLinearWidth:
@@ -215,6 +224,27 @@ class TestLinearWidth:
             result = linear_width(sys)
             assert result.width == best
             assert result.certificate.order == perms[widths.index(best)]
+
+    def test_matches_the_oracle(self, exhaustive_systems, seeded_cuts_9_to_12):
+        for sys in [*exhaustive_systems[4], *exhaustive_systems[5], *seeded_cuts_9_to_12]:
+            result = linear_width(sys)
+            assert (result.width, result.certificate.order) == oracle_linear_width(sys.array.tolist(), sys.n)
+
+    def test_matches_the_oracle_past_the_branch_width_gate(self, monkeypatch):
+        monkeypatch.delenv("CONNSYS_MAX_N", raising=False)
+        sys = dense_vertex_cut(WIDTH_MAX_N + 1)
+        result = linear_width(sys)
+        assert (result.width, result.certificate.order) == oracle_linear_width(sys.array.tolist(), sys.n)
+        with pytest.raises(GroundSetTooLargeForExhaustiveSearch):
+            branch_width(sys)
+
+    def test_answers_at_the_ground_set_cap(self, monkeypatch):
+        monkeypatch.delenv("CONNSYS_MAX_N", raising=False)
+        sys = dense_vertex_cut(20)
+        started = time.perf_counter()
+        result = linear_width(sys)
+        assert time.perf_counter() - started < 1.0
+        assert ordering_width(sys, result.certificate) == result.width
 
 
 class TestOrderingWidth:
