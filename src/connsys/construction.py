@@ -356,15 +356,17 @@ def _verified_ultrafilter(sys: ConnectivitySystem, search: _PairSearch, what: st
 def extend_filter_to_ultrafilter(sys: ConnectivitySystem, fam: SetFamily) -> SetFamily:
     """Extend a filter to an ultrafilter of the same order.
 
-    Undecided k-efficient sets are visited in ascending bitmask order; when
-    both sides of a pair can be added consistently, the side with more
-    elements wins (lower bitmask on ties).
+    The filter's members are put in in ascending bitmask order, so each
+    minimal member's batch brings its supersets in and the later adds do
+    nothing. Undecided k-efficient sets are visited in ascending bitmask
+    order; when both sides of a pair can be added consistently, the side
+    with more elements wins (lower bitmask on ties).
     """
     verdict = check_family(sys, fam, "filter")
     if not verdict.holds:
         raise NotAFilter(verdict)
     search = _PairSearch(sys, fam.k, "filter")
-    if not all(search.add(m) for m in fam.members):
+    if not all(search.add(m) for m in fam.sorted_members()):
         raise InternalError("a verified filter does not close consistently")
     _decide_pairs(search)
     return _verified_ultrafilter(sys, search, "extension")

@@ -201,6 +201,11 @@ def _check_symmetry(ground: GroundSet, values: np.ndarray) -> None:
 
 # A pass whose inner runs hold at least 2^5 = 32 values runs at numpy's full speed.
 _RUN_BITS = 5
+# Up to this n, where most passes run over fewer than 2^_RUN_BITS values, one
+# gather from cached indices proves every local pair faster than the passes.
+# The indices of n take 32 C(n, 2) 2^(n-2) bytes: 360 KB at n = 10 (600 KB
+# for n = 2..10 together) and 880 KB at n = 11, where the switch stops.
+GATHER_MAX_N = 10
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,6 +226,23 @@ def _layout_plan(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     return tuple((r, tuple(pairs)) for r, pairs in plan.items())
 
 
+@functools.lru_cache(maxsize=None)
+def _quadruples(n: int) -> np.ndarray:
+    """The masks A+i, A, A+i+j, A+j as four intp rows, one column per local pair.
+
+    Columns run over i < j, then j, then the masks A without bits i and j,
+    each increasing. The array is read-only.
+    """
+    masks = np.arange(1 << n, dtype=np.intp)
+    blocks = [np.zeros((4, 0), np.intp)]
+    for i, j in combinations(range(n), 2):
+        a = masks[(masks >> i | masks >> j) & 1 == 0]
+        blocks.append(np.stack((a | 1 << i, a, a | 1 << i | 1 << j, a | 1 << j)))
+    quads = np.concatenate(blocks, axis=1)
+    quads.flags.writeable = False
+    return quads
+
+
 def _gains(layout: np.ndarray, p: int) -> np.ndarray:
     """f(A+p) - f(A) for every A without bit p, indexed by A with bit p removed."""
     cube = layout.reshape(-1, 2, 1 << p)  # axis 1 is bit p
@@ -239,18 +261,33 @@ def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
     f is submodular exactly when no such pair exists (Fujishige, Submodular
     Functions and Optimization), so this proves submodularity in O(n^2 2^n).
     The values, all in [0, max f], are cast once to the narrowest signed
-    dtype that holds [-max f, max f]. For each bit i the gains
-    f(A+i) - f(A) come from the 3-d view (high bits, bit i, low bits) as a
-    2^(n-1) array indexed by A with bit i removed; for each j > i the pair
-    fails where gain(A+j) > gain(A). Gains are compared, never summed, so
-    nothing overflows. Each pair is proved in the layout that _layout_plan
-    gives it, where both of its bits are high, so that the passes run over
-    long contiguous runs. The layouts are made one at a time, each by one
+    dtype that holds [-max f, max f], and the pair fails where the gain
+    f(A+i) - f(A) is below f(A+i+j) - f(A+j). Gains are compared, never
+    summed, so nothing overflows. The witness is the first failing (i, j, A)
+    with i, then j, then the mask A increasing.
+
+    Up to GATHER_MAX_N, one gather reads all four values of every local pair
+    through the indices of _quadruples, which are in witness order, and the
+    first failing column is the witness. Above it, the strided passes below
+    do the same in O(n^2) calls that each run over long contiguous runs;
+    at small n those runs are shorter than 2^_RUN_BITS values and the calls
+    cost more than the gather. For each bit i the gains come from the 3-d
+    view (high bits, bit i, low bits) as a 2^(n-1) array indexed by A with
+    bit i removed; for each j > i the pair fails where gain(A+j) > gain(A).
+    Each pair is proved in the layout that _layout_plan gives it, where both
+    of its bits are high. The layouts are made one at a time, each by one
     transposed copy. Once a failing pair is known, only the pairs before it
-    are proved. The witness is the first failing (i, j, A) with i, then j,
-    then the mask A increasing, found again in the identity layout.
+    are proved, and its witness is found again in the identity layout.
     """
     v = values.astype(np.min_scalar_type(-1 - int(values.max())))
+    if n <= GATHER_MAX_N:
+        quads = _quadruples(n)
+        g = v[quads]
+        fails = g[0] - g[1] < g[2] - g[3]
+        if not fails.any():
+            return None
+        col = int(fails.argmax())
+        return int(quads[0, col]), int(quads[3, col])
     first = None  # the least failing pair found so far
     for r, pairs in _layout_plan(n):
         layout = v if r == 0 else v.reshape(-1, 1 << r).T.ravel()  # bits r.. become the low bits
@@ -285,7 +322,12 @@ def _lowest_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
 
 
 def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
-    """Exact at every n; for small n the reported witness is the lowest violating pair."""
+    """Exact at every n; for small n the reported witness is the lowest violating pair.
+
+    _local_violation decides, by one gather up to GATHER_MAX_N and by
+    strided passes above it; only a failing proof runs the O(4^n) scan for
+    the lowest pair, up to WITNESS_SCAN_MAX_N.
+    """
     n = ground.n
     witness = _local_violation(values, n)
     if witness is not None:

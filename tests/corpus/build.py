@@ -5,7 +5,11 @@
 paths relative to `root`: at n = 1..8 `validate`, both widths with and
 without `--certificate`, `--eval-certificate` of each emitted certificate,
 and `audit --theorems chains|duality --k-range 0..max f`; at n = 9..12 the
-same without the audits. `replay(root, invocations)` runs each one through
+same without the audits. Last come `validate` runs on tables that fail:
+at each n = 3..12 one that breaks submodularity on the local pairs of one
+pair of bits and, from n = 6 on, one that breaks it on those of two (at
+n = 2 every symmetric table with f(X) = 0 is submodular), and one table
+that breaks symmetry. `replay(root, invocations)` runs each one through
 the in-process `connsys.cli.main` from `root` and pairs it with the SHA-256
 of its exit code, stdout and stderr. An invocation with `--certificate` that
 exits 0 leaves its certificate in `root/certificates/<instance>-<mode>.json`,
@@ -31,7 +35,7 @@ from pathlib import Path
 
 from connsys.cli import main
 
-from ..oracles import oracle_cut_values
+from ..oracles import oracle_cut_values, planted_table
 
 DIGESTS = Path(__file__).with_name("digests.json")
 # (n, whether the audits run, instances of each kind): the audits stop at n = 8, where enumeration stops
@@ -59,15 +63,49 @@ def _table(rng, n):
     count = rng.randint(0, n) if n > 1 else 0
     hyperedges = [(rng.sample(range(n), rng.randint(2, n)), rng.randint(1, 2)) for _ in range(count)]
     cap = rng.randint(0, n // 2)
-    labels = [f"t{i}" for i in range(n)]
     values = []
     for mask in range(1 << n):
         size = bin(mask).count("1")
         inside = [sum(mask >> e & 1 for e in members) for members, _ in hyperedges]
         crossing = sum(w for (members, w), i in zip(hyperedges, inside) if 0 < i < len(members))
         values.append(min(size, n - size, cap) + crossing)
+    return _table_instance("t", n, values)
+
+
+def _planted(rng, n, count):
+    """A table that breaks submodularity on the local pairs of count pairs of bits, drawn by rng."""
+    chosen = rng.sample(range(n), 2 * count)
+    pairs = sorted(tuple(sorted(chosen[2 * p : 2 * p + 2])) for p in range(count))
+    values = planted_table(n, pairs, rng.getrandbits(32)).tolist()
+    return _table_instance("p", n, values)
+
+
+def _asymmetric(rng, n):
+    """A valid table with one value raised on one side of a complement pair only."""
+    values = _table(rng, n)[2]
+    values[rng.randrange(1, (1 << n) - 1)] += 1
+    return _table_instance("t", n, values)
+
+
+def _table_instance(prefix, n, values):
+    labels = [f"{prefix}{i}" for i in range(n)]
     keys = [",".join(lab for i, lab in enumerate(labels) if mask >> i & 1) for mask in range(1 << n)]
     return labels, {"type": "table", "values": dict(zip(keys, values))}, values
+
+
+def _failing():
+    """(name, instance) of each table that validate rejects."""
+    for n in range(3, 13):
+        for count in (1, 2) if n >= 6 else (1,):
+            name = f"pl-{n}-{count}"
+            yield name, _planted(random.Random(name), n, count)
+    yield "as-7-0", _asymmetric(random.Random("as-7-0"), 7)
+
+
+def _write(root, name, labels, function):
+    path = f"instances/{name}.json"
+    (Path(root) / path).write_text(json.dumps({"ground_set": labels, "function": function}))
+    return path
 
 
 def write_instances(root):
@@ -79,8 +117,7 @@ def write_instances(root):
             for seed in range(count):
                 name = f"{prefix}-{n}-{seed}"
                 labels, function, values = make(random.Random(name), n)
-                path = f"instances/{name}.json"
-                (Path(root) / path).write_text(json.dumps({"ground_set": labels, "function": function}))
+                path = _write(root, name, labels, function)
                 invocations.append(["validate", path])
                 for mode in ("branch", "linear"):
                     invocations.append(["width", mode, path])
@@ -89,6 +126,8 @@ def write_instances(root):
                 if audited:
                     for selection in ("chains", "duality"):
                         invocations.append(["audit", path, "--theorems", selection, "--k-range", f"0..{max(values)}"])
+    for name, (labels, function, _) in _failing():
+        invocations.append(["validate", _write(root, name, labels, function)])
     return invocations
 
 

@@ -2,10 +2,12 @@
 
 Everything here is written directly from the axiom and definition texts with
 plain nested loops, on purpose sharing no helper code with the library. The
-few oracles that must reach n = 18 read the definitions over whole numpy
-arrays instead, still in plain mask order.
+few oracles that must reach n = 12 or more read the definitions over whole
+numpy arrays instead, still in plain mask order. `planted_table` makes
+seeded tables that break submodularity on chosen local pairs only.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations
 
@@ -408,11 +410,17 @@ def oracle_cut_values(kind, n, vertices, edges):
 
 
 def oracle_submodularity_witness(values, n):
-    """The first (A, B) in row-major order with f(A) + f(B) < f(A & B) + f(A | B), or None."""
+    """The first (A, B) in row-major order with f(A) + f(B) < f(A & B) + f(A | B), or None.
+
+    Each row A is tested against every B at once in int64, which holds the
+    sum of two values below 2^62; fast enough for n = 12.
+    """
+    f = np.asarray(values, dtype=np.int64)
+    masks = np.arange(1 << n)
     for a in range(1 << n):
-        for b in range(1 << n):
-            if values[a] + values[b] < values[a & b] + values[a | b]:
-                return (a, b)
+        bad = np.flatnonzero(f[a] + f < f[a & masks] + f[a | masks])
+        if bad.size:
+            return a, int(bad[0])
     return None
 
 
@@ -446,6 +454,38 @@ def oracle_local_scan(values, n):
             if bad.size:
                 return int(ai[bad[0]]), int(aj[bad[0]])
     return None
+
+
+def planted_table(n, pairs, seed):
+    """A symmetric table whose broken local pairs all have their bits in pairs.
+
+    f(S) = 2 |S| (n - |S|) minus the number of pairs (a, b) that S separates
+    is submodular, with slack 2 on the local pairs whose bits are in pairs and
+    4 on all others. For each (a, b), f(T) and f(X - T) are lowered by 3 for a
+    random T that holds a, not b, and does not separate the other pairs. That
+    breaks the local pairs with bits (a, b) that have T or X - T as a side,
+    and no other: the lowered sets are more than two elements apart, so no
+    local pair has two of them as sides. Every value stays natural from n = 3 on.
+    """
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    masks = np.arange(1 << n, dtype=np.int64)
+    size = np.bitwise_count(masks).astype(np.int64)
+    values = 2 * size * (n - size)
+    for a, b in pairs:
+        values -= (masks >> a ^ masks >> b) & 1
+    lowered = []
+    for a, b in pairs:
+        while True:
+            t = (rng.getrandbits(n) | 1 << a) & ~(1 << b)
+            if all(t >> c & 1 == t >> d & 1 for c, d in pairs if (c, d) != (a, b)) and all(
+                bits(t ^ u) > 2 and bits(full ^ t ^ u) > 2 for u in lowered
+            ):
+                break
+        lowered.append(t)
+        values[t] -= 3
+        values[full ^ t] -= 3
+    return values
 
 
 def oracle_vertex_cut_array(vertices, edges):

@@ -23,10 +23,12 @@ from connsys import (
     generate_from_subbase,
 )
 from connsys.core import (
+    GATHER_MAX_N,
     GroundSet,
     _check_submodularity,
     _layout_plan,
     _local_violation,
+    _quadruples,
     edge_cut_values,
     popcount,
     vertex_cut_values,
@@ -47,6 +49,7 @@ from .oracles import (
     oracle_local_scan,
     oracle_submodularity_witness,
     oracle_vertex_cut_array,
+    planted_table,
 )
 
 
@@ -356,18 +359,22 @@ def test_small_family_check_builds_nothing_of_size_2_to_the_n():
     assert int(done.stdout) < 1024
 
 
+def _drawn_cut(n, data):
+    """The cut function, as a list, of the complete graph on n vertices with edge weights 0..2 drawn from data."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    cut = np.zeros(1 << n, dtype=np.int64)
+    for u in range(n):
+        for v in range(u + 1, n):
+            cut += data.draw(st.integers(0, 2)) * ((masks >> u ^ masks >> v) & 1)
+    return cut.tolist()
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 6), st.data())
+@given(st.integers(1, GATHER_MAX_N + 2), st.data())
 def test_local_check_decides_like_the_pair_scan(n, data):
     # a weighted cut function (submodular) plus a few symmetric perturbations
     full = (1 << n) - 1
-    weights = {
-        (u, v): data.draw(st.integers(0, 2)) for u in range(n) for v in range(u + 1, n)
-    }
-    values = [
-        sum(w for (u, v), w in weights.items() if (mask >> u & 1) != (mask >> v & 1))
-        for mask in range(1 << n)
-    ]
+    values = _drawn_cut(n, data)
     reps = list(range(1, 1 << (n - 1)))  # one of each complementary pair, except {}/X
     if reps:
         for rep, delta in data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, 2)), max_size=3)):
@@ -384,15 +391,11 @@ def test_local_check_decides_like_the_pair_scan(n, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 8), st.sampled_from([0, 127, 128, 2**15 - 1, 2**15, 2**31, 2**62 - 1]), st.data())
+@given(st.integers(2, GATHER_MAX_N + 2), st.sampled_from([0, 127, 128, 2**15 - 1, 2**15, 2**31, 2**62 - 1]), st.data())
 def test_local_check_returns_the_first_local_violation(n, top, data):
     # max f = top crosses every boundary of the signed dtype the gains are compared in
     full = (1 << n) - 1
-    weights = {(u, v): data.draw(st.integers(0, 2)) for u in range(n) for v in range(u + 1, n)}
-    cut = [
-        sum(w for (u, v), w in weights.items() if (mask >> u & 1) != (mask >> v & 1))
-        for mask in range(1 << n)
-    ]
+    cut = _drawn_cut(n, data)
     # scale * cut + rest on the proper subsets is still symmetric and submodular
     scale = top // max(max(cut), 1)
     rest = top - scale * max(cut)
@@ -406,54 +409,71 @@ def test_local_check_returns_the_first_local_violation(n, top, data):
     assert _local_violation(np.array(values, dtype=np.int64), n) == oracle_first_local_violation(values, n)
 
 
-@pytest.mark.parametrize("n, m", [(16, 48), (18, 54)])
+@pytest.mark.parametrize("n, m", [(GATHER_MAX_N, 30), (16, 48), (18, 54)])
 def test_submodularity_proof_keeps_no_wide_temporaries(n, m):
-    # 2^n values as int64 take 8 bytes each; the proof's temporaries, a rotated
-    # layout among them, must stay in a narrow dtype for a function with max f below 128
+    # the proof's temporaries, a rotated layout or the gathered values among them,
+    # must stay in a narrow dtype for a function with max f below 128: in int64,
+    # 2^n values take 8 bytes each and the gather 32 bytes per local pair
     rng = random.Random(n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     values = vertex_cut_values(n, rng.sample(pairs, m))
     assert values.max() < 128
     ground = GroundSet(tuple(f"v{i}" for i in range(n)))
+    _check_submodularity(ground, values)  # the gather's indices are cached, not temporaries
     tracemalloc.start()
     try:
         _check_submodularity(ground, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**n
+    if n > GATHER_MAX_N:
+        assert peak <= 4 * 2**n
+    else:
+        assert peak <= 16 * n * (n - 1) // 2 * 2 ** (n - 2)
+        assert sum(_quadruples(k).nbytes for k in range(1, GATHER_MAX_N + 1)) < 2**20
 
 
-def _planted(n, pairs, seed):
-    """A symmetric table whose broken local pairs all have their bits in pairs.
+def _broken_locally(n, broken, seed):
+    """Values whose broken local pairs are the (A+i, A+j) for (A, i, j) in broken.
 
-    f(S) = 2 |S| (n - |S|) minus the number of pairs (a, b) that S separates
-    is submodular, with slack 2 on the local pairs whose bits are in pairs and
-    4 on all others. For each (a, b), f(T) and f(X - T) are lowered by 3 for a
-    random T that holds a, not b, and does not separate the other pairs. That
-    breaks the local pairs with bits (a, b) that have T or X - T as a side,
-    and no other: the lowered sets are more than two elements apart, so no
-    local pair has two of them as sides.
+    f(S) = sum of lin_k over k in S minus the sum of w_kl over pairs k < l in S
+    has slack w_ij on every local pair with bits i, j; w is 1 on the bits of
+    broken and 3 to 5 elsewhere. Raising f(T) by 2 lowers the slack of the
+    local pairs that have T as their union or their meet by 2, so with
+    T = A+i+j it breaks (A+i, A+j), and any other pair only if T is the meet
+    or union of a local pair on the bits of another triple in broken.
     """
     rng = random.Random(seed)
-    full = (1 << n) - 1
     masks = np.arange(1 << n, dtype=np.int64)
-    size = np.bitwise_count(masks).astype(np.int64)
-    values = 2 * size * (n - size)
-    for a, b in pairs:
-        values -= (masks >> a ^ masks >> b) & 1
-    lowered = []
-    for a, b in pairs:
-        while True:
-            t = (rng.getrandbits(n) | 1 << a) & ~(1 << b)
-            if all(t >> c & 1 == t >> d & 1 for c, d in pairs if (c, d) != (a, b)) and all(
-                popcount(t ^ u) > 2 and popcount(full ^ t ^ u) > 2 for u in lowered
-            ):
-                break
-        lowered.append(t)
-        values[t] -= 3
-        values[full ^ t] -= 3
-    return values
+    values = np.zeros(1 << n, dtype=np.int64)
+    weak = {(i, j) for _, i, j in broken}
+    for k in range(n):
+        values += rng.randint(0, 9) * (masks >> k & 1)
+        for l in range(k + 1, n):
+            values -= (1 if (k, l) in weak else rng.randint(3, 5)) * (masks >> k & masks >> l & 1)
+    for top in {a | 1 << i | 1 << j for a, i, j in broken}:
+        values[top] += 2
+    return values - values.min()
+
+
+def _broken_cases():
+    yield pytest.param(1, [], id="n1")  # no local pair
+    for n in range(2, GATHER_MAX_N + 2):
+        for i, j in sorted({(0, 1), (n - 2, n - 1)}):
+            others = [k for k in range(n) if k not in (i, j)]
+            rng = random.Random(f"{n}-{i}")
+            yield pytest.param(n, [(sum(1 << k for k in others if rng.random() < 0.5), i, j)], id=f"n{n}-{i}_{j}")
+        if n >= 3:
+            # (0, 1) fails only at A = {n-1}, (n-2, n-1) only at A = {0}, a smaller mask
+            yield pytest.param(n, [(1 << n - 1, 0, 1), (1, n - 2, n - 1)], id=f"n{n}-both")
+
+
+@pytest.mark.parametrize("n, broken", _broken_cases())
+def test_local_check_finds_the_first_broken_local_pair(n, broken):
+    values = _broken_locally(n, broken, seed=n)
+    want = next(((a | 1 << i, a | 1 << j) for a, i, j in broken), None)
+    assert oracle_local_scan(values, n) == want
+    assert _local_violation(values, n) == want
 
 
 def _planted_cases():
@@ -476,7 +496,7 @@ def _planted_cases():
     "n, pairs", [pytest.param(n, pairs, id=f"n{n}-" + "-".join(f"{a}_{b}" for a, b in pairs)) for n, pairs in _planted_cases()]
 )
 def test_rotated_layouts_find_the_first_local_violation(n, pairs):
-    values = _planted(n, pairs, seed=1000 * n + pairs[0][0] * 31 + pairs[0][1])
+    values = planted_table(n, pairs, seed=1000 * n + pairs[0][0] * 31 + pairs[0][1])
     want = oracle_local_scan(values, n)
     assert want is not None
     a, b = want
