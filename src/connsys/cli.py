@@ -65,8 +65,6 @@ from .serialization import (
     width_result_to_json,
 )
 
-BRUTE_COVER_LIMIT = 15
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
@@ -230,9 +228,8 @@ def _run_generate(args, sys: ConnectivitySystem):
     return {"family": family_to_json(sys, fam)}, 0
 
 
-def _dilworth_payload(
-    sys: ConnectivitySystem, k: int, brute_gate: int = BRUTE_COVER_LIMIT
-) -> tuple[dict, bool]:
+def _dilworth_payload(sys: ConnectivitySystem, k: int) -> tuple[dict, bool]:
+    """One k's Dilworth comparison, as the dilworth command and the audits report it."""
     antichain = find_max_antichain(sys, k)
     family = _nonempty_efficient(sys, k)
     chains = min_chain_cover(sys, family, k)
@@ -245,7 +242,7 @@ def _dilworth_payload(
         "chains": [chain_to_json(sys, c) for c in chains],
         "equal": len(antichain.sets) == len(chains),
     }
-    if len(family) <= brute_gate:
+    if len(family) <= BRUTE_COVER_MAX_FAMILY:
         brute = brute_force_min_cover_size(sys, family, k)
         payload["brute_force_cover_size"] = brute
         payload["equal"] = payload["equal"] and brute == len(chains)
@@ -313,7 +310,7 @@ def _audit_at(sys: ConnectivitySystem, k: int, selection: str) -> tuple[dict, bo
         entry["duality"] = [duality_to_json(sys, v) for v in verdicts]
         failed |= any(not v.consistent for v in verdicts)
     if selection in ("all", "dilworth"):
-        payload, ok = _dilworth_payload(sys, k, brute_gate=BRUTE_COVER_MAX_FAMILY)
+        payload, ok = _dilworth_payload(sys, k)
         entry["dilworth"] = payload
         failed |= not ok
     return entry, failed

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
+from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit
 from .errors import (
     EfficiencyEscape,
     EmptyIntersection,
@@ -48,7 +48,7 @@ class UltrafilterNumberResult:
 
 def _record(search, members, results: list[SetFamily], non_principal_only: bool, limit: int | None) -> bool:
     """Re-verify a completed family and keep it; False once limit families are found."""
-    if non_principal_only and any(popcount(m) == 1 for m in members):
+    if non_principal_only and any(m.bit_count() == 1 for m in members):
         return True
     fam = SetFamily(frozenset(members), search.k, search.sys.n)
     verdict = check_family(search.sys, fam, search.kind)
@@ -252,7 +252,7 @@ class _TangleSearch:
     superset of what two members s and t leave uncovered; the complements
     of those sets are the efficient subsets of s | t, so each round puts in
     the efficient part of the subset closure of the pair unions. For a member
-    s, the unions {s | t : t in ins} are ``_joins(ins, s)``: popcount(s)
+    s, the unions {s | t : t in ins} are ``_joins(ins, s)``: |s|
     folds of ``ins``, the fold for element i moving every mask that lacks i
     up by 2^i. Each round pairs the members that are new with every member,
     s itself included, and rounds repeat until no member is new. A new
@@ -340,7 +340,7 @@ def _decide_pairs(search: _PairSearch) -> None:
         comp = full ^ mask
         if state[mask] == _IN or state[comp] == _IN:
             continue
-        first, second = (mask, comp) if popcount(mask) >= popcount(comp) else (comp, mask)
+        first, second = (mask, comp) if mask.bit_count() >= comp.bit_count() else (comp, mask)
         if not (search.add(first) or search.add(second)):
             raise InternalError("neither side of an undecided pair extends consistently")
 
@@ -445,7 +445,7 @@ def ultrafilter_number(sys: ConnectivitySystem, k: int) -> UltrafilterNumberResu
         # the efficient sets that hold low meet in its class: their complements separate the rest
         cls = int(np.bitwise_and.reduce(keff[(keff & low) != 0]))
         left &= ~cls
-        if popcount(cls) >= 2 and sys.f(cls) <= k:
+        if cls.bit_count() >= 2 and sys.f(cls) <= k:
             classes.append(cls)
     if not classes:
         return UltrafilterNumberResult(None, None)

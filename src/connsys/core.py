@@ -7,7 +7,9 @@ stores one form of f: the validated array, read-only and in the narrowest
 unsigned dtype that holds max f. Scans over all subsets (such as the
 k-efficient index) read it whole, single lookups read one entry, and the
 branch-width DP, which looks up every entry many times, copies it to a
-list that lives only while it runs.
+list that lives only while it runs. Validation proves submodularity
+through the local pairs (A+i, A+j) alone, and a function that fails it is
+reported with its first failing local pair, in (i, j, A) order, at every n.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
 )
 
 MAX_N = 20
-WITNESS_SCAN_MAX_N = 12
 MAX_VALUE = 2**62 - 1  # keeps every sum that validation forms within int64
 
 
@@ -51,10 +52,6 @@ def _max_n_override(env: str) -> int | None:
     except ValueError:
         _sys.stderr.write(f"connsys: warning: ignoring non-integer CONNSYS_MAX_N={env!r}\n")
         return None
-
-
-def popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,14 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
             raise KeyError(f"unknown element label {label!r}") from None
 
     def mask_of(self, labels) -> int:
@@ -311,28 +312,10 @@ def _local_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
     return a | 1 << i, a | 1 << j
 
 
-def _lowest_violation(values: np.ndarray, n: int) -> tuple[int, int] | None:
-    """The lowest violating (A, B) pair in row-major order, by an O(4^n) scan."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    for a in range(1 << n):
-        bad = np.flatnonzero(values[a] + values < values[a & idx] + values[a | idx])
-        if bad.size:
-            return a, int(bad[0])
-    return None
-
-
 def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
-    """Exact at every n; for small n the reported witness is the lowest violating pair.
-
-    _local_violation decides, by one gather up to GATHER_MAX_N and by
-    strided passes above it; only a failing proof runs the O(4^n) scan for
-    the lowest pair, up to WITNESS_SCAN_MAX_N.
-    """
-    n = ground.n
-    witness = _local_violation(values, n)
+    """Exact at every n; a failure reports _local_violation's witness, the first failing local pair."""
+    witness = _local_violation(values, ground.n)
     if witness is not None:
-        if n <= WITNESS_SCAN_MAX_N:
-            witness = _lowest_violation(values, n)
         a, b = witness
         keys = ground.subset_key(a), ground.subset_key(b)
         raise SubmodularityViolation(
@@ -341,7 +324,7 @@ def _check_submodularity(ground: GroundSet, values: np.ndarray) -> dict:
             f"f({keys[0]!r}) + f({keys[1]!r}) = {values[a] + values[b]} < {values[a & b] + values[a | b]}",
             keys,
         )
-    return {"mode": "exhaustive", "pairs": 4**n}
+    return {"mode": "exhaustive", "pairs": 4**ground.n}
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import EnumerationRequest, enumerate_families
-from .core import ConnectivitySystem, gate_limit, popcount
+from .core import ConnectivitySystem, gate_limit
 from .errors import (
     GroundSetTooLargeForExhaustiveSearch,
     InternalError,
@@ -240,14 +240,13 @@ def linear_width(sys: ConnectivitySystem) -> WidthResult:
 
 
 def _least_chain_width(sys: ConnectivitySystem) -> WidthResult:
+    chain = functools.cache(functools.partial(_sequence_chain, sys))  # each bound is searched once
     width = max(sys.f(1 << e) for e in range(sys.n))
-    sets = _sequence_chain(sys, width)
-    if sets is None:  # max f always has a chain
+    if chain(width) is None:  # max f always has a chain
         above = np.sort(sys.array[sys.array > width])
         above = above[np.append(True, above[1:] != above[:-1])].tolist()  # the distinct values, ascending
-        width = above[bisect.bisect_left(above, True, key=lambda k: _sequence_chain(sys, k) is not None)]
-        sets = _sequence_chain(sys, width)
-    result = chain_to_decomposition(sys, sets)
+        width = above[bisect.bisect_left(above, True, key=lambda k: chain(k) is not None)]
+    result = chain_to_decomposition(sys, chain(width))
     if result.width != width:
         raise InternalError(f"linear-width certificate re-evaluates to {result.width}, not {width}")
     return result
@@ -321,7 +320,7 @@ def chain_to_decomposition(
         if prev & ~cur:
             raise NotASequenceChain(f"{prev:#x} is not contained in {cur:#x}")
         added = cur & ~prev
-        if added == 0 or popcount(added) != 1:
+        if added == 0 or added.bit_count() != 1:
             raise NotSingleElement(f"step from {prev:#x} to {cur:#x} does not add exactly one element")
         order.append(added.bit_length() - 1)
     if k is not None:

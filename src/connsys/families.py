@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import ConnectivitySystem, enumerate_k_efficient, popcount
+from .core import ConnectivitySystem, enumerate_k_efficient
 from .errors import (
     BoundIncrease,
     FipCrossCheckWarning,
@@ -449,11 +449,11 @@ def _ax_ma3(c: _Ctx):
     # G = b - a), and |F| <= |G| iff |b| >= |a|: so a fails iff some efficient
     # non-member is at least as large, and the least (F, G) is the literal witness
     bad = [b for b in c.keff if b not in c.members]
-    top = max(map(popcount, bad), default=-1)
+    top = max(map(int.bit_count, bad), default=-1)
     for a in c.sorted:
-        size = popcount(a)
+        size = a.bit_count()
         if size <= top:
-            return (a, *min((a & ~b, b & ~a) for b in bad if popcount(b) >= size))
+            return (a, *min((a & ~b, b & ~a) for b in bad if b.bit_count() >= size))
     return None
 
 
@@ -566,9 +566,9 @@ def classify_family(sys: ConnectivitySystem, fam: SetFamily) -> FamilyFlags:
         principal = "yes"
     else:
         principal = "no"
-    has_singleton_member = any(popcount(m) == 1 for m in fam.members)
+    has_singleton_member = any(m.bit_count() == 1 for m in fam.members)
     non_principal = "no" if has_singleton_member else "yes"
-    uniform = all(popcount(m) == sys.n for m in fam.members)
+    uniform = all(m.bit_count() == sys.n for m in fam.members)
     return FamilyFlags(principal, non_principal, uniform)
 
 

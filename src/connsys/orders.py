@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .construction import ENUMERATION_MAX_N, EnumerationRequest, enumerate_families
-from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit, popcount
+from .core import ConnectivitySystem, enumerate_k_efficient, gate_limit
 from .decomposition import _sequence_chain, branch_width
 from .errors import (
     ChainOrderBroken,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .families import SetFamily, check_family, complement_family
 
-BRUTE_COVER_MAX_FAMILY = 12
+BRUTE_COVER_MAX_FAMILY = 15  # the Dilworth brute-force cross-check runs up to this many sets
 
 THEOREM_IDS = (
     "T3.5-antichain-meets-ultrafilter",
@@ -201,7 +201,7 @@ def find_max_antichain(sys: ConnectivitySystem, k: int) -> Antichain:
 
 def brute_force_min_cover_size(sys: ConnectivitySystem, family: list[int], k: int) -> int:
     """Minimum chain-cover size by direct search; the second, independent route."""
-    family = sorted(set(family), key=lambda m: (popcount(m), m))
+    family = sorted(set(family), key=lambda m: (m.bit_count(), m))
     _check_masks(sys, family)
     for mask in family:
         if sys.f(mask) > k:
@@ -295,7 +295,7 @@ class _Level:
 
     @functools.cached_property
     def non_principal(self) -> list[SetFamily]:
-        return [uf for uf in self.ultrafilters if not any(popcount(m) == 1 for m in uf.members)]
+        return [uf for uf in self.ultrafilters if not any(m.bit_count() == 1 for m in uf.members)]
 
     @functools.cached_property
     def sequence_chain(self) -> Chain | None:
@@ -431,6 +431,10 @@ def _audit_t232(level: _Level) -> tuple:
     - co-independence_system: X is a member, so the complements hold the
       empty set (IN1). An efficient subset S of X - a, for a member a, has
       the efficient complement X - S above a, a member by Q2 (IN2).
+    Of the co-tangle's axioms on the complements X - a of the members a,
+    T1 holds by symmetry, T2 by Q4 and T4 because U has no singleton
+    member. Three complements cover X iff their members meet in the empty
+    set, so the subcheck fails, by T3, exactly where U fails FT1.
     """
     ufs = level.non_principal
     if not ufs:

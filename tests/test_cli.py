@@ -13,6 +13,8 @@ import connsys
 from connsys.cli import main
 from connsys.serialization import load_instance
 
+from .corpus import build
+
 C4_EDGES = {
     "ground_set": ["e1", "e2", "e3", "e4"],
     "function": {"type": "graph_edge_cut", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]},
@@ -307,6 +309,19 @@ def test_dilworth_command(files, capsys):
     assert res["brute_force_cover_size"] == 4
 
 
+def test_dilworth_command_and_audit_cross_check_alike(files, capsys):
+    # 15 non-empty efficient sets: the most the brute-force cover search checks
+    labels, function, _ = build._table(random.Random("tb-7-9"), 7)
+    inst = files("tb-7-9.json", {"ground_set": labels, "function": function})
+    code, report, _ = run(capsys, "dilworth", inst, "-k", "1")
+    assert code == 0
+    payload = report["result"]
+    assert (payload["family_size"], payload["brute_force_cover_size"]) == (15, payload["min_cover_size"])
+    code, report, _ = run(capsys, "audit", inst, "--theorems", "dilworth", "-k", "1")
+    assert code == 0
+    assert report["result"]["audits"] == [{"k": 1, "dilworth": payload}]
+
+
 def test_ultrafilter_number_command(files, capsys):
     inst = files("c4.json", C4_EDGES)
     code, report, _ = run(capsys, "ultrafilter-number", inst, "-k", "1")
@@ -497,6 +512,7 @@ def test_malformed_graph_exit2(files, capsys, graph, vertices, edges, message):
         ({"k": 2, "sets": ["e1", 1]}, "InputError: set 1 in 'sets' must be a string or a list of strings, not 1"),
         ({"k": 2, "sets": [["e1", 2]]}, "InputError: set 0 in 'sets' must be a string or a list of strings, not ['e1', 2]"),
         ({"k": 2, "sets": [{"e1": 1}]}, "InputError: set 0 in 'sets' must be a string or a list of strings, not {'e1': 1}"),
+        ({"k": 2, "sets": ["e1,zz"]}, "InputError: unknown element label 'zz'"),
     ],
 )
 def test_malformed_family_exit2(files, capsys, family, message):

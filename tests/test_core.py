@@ -30,7 +30,6 @@ from connsys.core import (
     _local_violation,
     _quadruples,
     edge_cut_values,
-    popcount,
     vertex_cut_values,
 )
 from connsys.errors import (
@@ -42,6 +41,7 @@ from connsys.errors import (
     TableIncomplete,
 )
 
+from .corpus import build
 from .oracles import (
     oracle_cut_values,
     oracle_first_local_violation,
@@ -78,6 +78,14 @@ def test_submodularity_violation_witness_reverifies():
         ConnectivitySystem.from_table(["a", "b", "c"], table)
     a, b = exc.value.a_mask, exc.value.b_mask
     assert table[a] + table[b] < table[a & b] + table[a | b]
+
+
+def test_unknown_label_lookup_raises_key_error():
+    ground = GroundSet(("a", "b", "c"))
+    assert (ground.index("b"), ground.mask_of(["c", "a"]), ground.mask_from_key("a,b")) == (1, 0b101, 0b011)
+    for label in ("z", "", ["a"]):
+        with pytest.raises(KeyError, match=re.escape(f"unknown element label {label!r}")):
+            ground.mask_of(["a", label])
 
 
 def test_table_values_beyond_int64_headroom_rejected():
@@ -162,7 +170,7 @@ def test_enumerate_k2_fourteen_sets(c4_edge):
     assert len(got) == 14
     assert 0b0101 not in got  # the opposite pair has f = 4
     assert 0b1010 not in got
-    singletons = [m for m in got if popcount(m) == 1]
+    singletons = [m for m in got if m.bit_count() == 1]
     assert len(singletons) == 4
 
 
@@ -379,8 +387,9 @@ def test_local_check_decides_like_the_pair_scan(n, data):
     if reps:
         for rep, delta in data.draw(st.lists(st.tuples(st.sampled_from(reps), st.integers(-2, 2)), max_size=3)):
             values[rep] = values[full ^ rep] = max(0, values[rep] + delta)
-    want = oracle_submodularity_witness(values, n)
-    assert (_local_violation(np.array(values, dtype=np.int64), n) is None) == (want is None)
+    want = oracle_local_scan(values, n)
+    assert (oracle_submodularity_witness(values, n) is None) == (want is None)
+    assert _local_violation(np.array(values, dtype=np.int64), n) == want
     labels = [f"x{i}" for i in range(n)]
     if want is None:
         assert ConnectivitySystem.from_table(labels, dict(enumerate(values))).validation["mode"] == "exhaustive"
@@ -388,6 +397,22 @@ def test_local_check_decides_like_the_pair_scan(n, data):
         with pytest.raises(SubmodularityViolation) as exc:
             ConnectivitySystem.from_table(labels, dict(enumerate(values)))
         assert (exc.value.a_mask, exc.value.b_mask) == want
+
+
+@pytest.mark.parametrize(
+    "name, lowest, local",
+    [("pl-9-2", (70, 134), (210, 226)), ("pl-12-2", (85, 1093), (1298, 1304))],
+    ids=["pl-9-2", "pl-12-2"],
+)
+def test_witness_is_the_first_local_pair_below_n_13(name, lowest, local):
+    # the lowest violating pair in row-major order is not local here, so reporting it would take a 4^n scan
+    labels, _, values = dict(build._failing())[name]
+    n = len(labels)
+    assert oracle_submodularity_witness(values, n) == lowest
+    assert oracle_local_scan(values, n) == local
+    with pytest.raises(SubmodularityViolation) as exc:
+        ConnectivitySystem.from_table(labels, dict(enumerate(values)))
+    assert (exc.value.a_mask, exc.value.b_mask) == local
 
 
 @settings(max_examples=200, deadline=None)

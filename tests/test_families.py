@@ -26,7 +26,6 @@ from connsys import (
     truncate_order,
 )
 from connsys import construction, families, orders
-from connsys.core import popcount
 from connsys.errors import (
     BoundIncrease,
     FipCrossCheckWarning,
@@ -411,7 +410,7 @@ def test_folded_kinds_decide_every_set_holding_an_element_at_n14():
         # every efficient set but {v12}: the least two members that meet in it
         (13, "filter", lambda m: m != 1 << 12, ("Q1", (4097, 4098, 4096))),
         # every set of fewer than n/2 elements: the least three that cover X
-        (15, "tangle", lambda m: 2 * popcount(m) < 15, ("T3", (1, 254, 32512))),
+        (15, "tangle", lambda m: 2 * m.bit_count() < 15, ("T3", (1, 254, 32512))),
     ],
     ids=["filter", "tangle"],
 )
@@ -473,7 +472,7 @@ def _cut_family_cases(rng, sizes):
                     found += [principal.members, extend_filter_to_ultrafilter(sys, principal).members]
                 # of a set and its complement at most one is this small, and three of them can cover X
                 # where no two do, so at odd n this family may fail T3 and nothing before it
-                found.append(frozenset(m for m in range(1 << n) if values[m] <= k and 2 * popcount(m) < n))
+                found.append(frozenset(m for m in range(1 << n) if values[m] <= k and 2 * m.bit_count() < n))
                 for members in found:
                     for variant in [members, *_perturbed(sys, members, k, rng)]:
                         cases.append((sys, SetFamily(frozenset(variant), k, n)))
@@ -568,7 +567,7 @@ class TestMembershipArrays:
         sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(16)], 16, rng.sample(pairs, 24))
         uf = construct_ultrafilter(sys, 4)
         assert len(uf) > 64 and check_family(sys, uf, "filter").holds
-        member = min(uf.members, key=lambda m: (popcount(m), m))
+        member = min(uf.members, key=lambda m: (m.bit_count(), m))
         broken = fam(uf.members | {sys.full_mask ^ member}, 4, 16)
         for family in (uf, broken):
             assert derived_flags(sys, family, "ultrafilter")["FT1"] is oracle_ft1(family.members)
@@ -675,11 +674,11 @@ class TestMajority:
         pairs = [(a, b) for a in range(16) for b in range(a + 1, 16)]
         sys = ConnectivitySystem.from_vertex_cut([f"v{i}" for i in range(16)], 16, rng.sample(pairs, 40))
         k = sys.max_value
-        half = fam([m for m in range(1 << 16) if 2 * popcount(m) >= 16], k, 16)
+        half = fam([m for m in range(1 << 16) if 2 * m.bit_count() >= 16], k, 16)
         assert check_family(sys, half, "majority_system").holds
         # with one eight-element set dropped, the first eight-element member moves onto it
-        dropped = min(m for m in half.members if popcount(m) == 8)
+        dropped = min(m for m in half.members if m.bit_count() == 8)
         rest = half.members - {dropped}
-        first = min(m for m in rest if popcount(m) == 8)
+        first = min(m for m in rest if m.bit_count() == 8)
         v = check_family(sys, fam(rest, k, 16), "majority_system")
         assert (v.violated_axiom, v.witnesses) == ("MA3", (first, first & ~dropped, dropped & ~first))

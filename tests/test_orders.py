@@ -12,6 +12,7 @@ from connsys import (
     chain_extend_single,
     check_family,
     complement_family,
+    derived_flags,
     duality_audit,
     enumerate_families,
     enumerate_k_efficient,
@@ -453,6 +454,24 @@ def test_audits_on_every_small_system(exhaustive_systems):
                     inconsistent += not duality_audit(sys, k, kind).consistent
     assert (levels, inconsistent) == ([1690, 1640], 0)
     assert {tid: counts for tid, counts in found.items() if any(counts)} == pinned
+
+
+def test_t232_co_tangle_subcheck_is_ft1(exhaustive_systems):
+    """The complements of a non-principal ultrafilter U fail the tangle axioms exactly where U fails FT1,
+    and then by T3, as _audit_t232's docstring derives; on every level of the exhaustive systems.
+
+    FT1 holds on all 2,157 of their non-principal ultrafilters, so the subcheck never fires on them.
+    """
+    checked, ft1_failures = [0, 0], 0
+    for i, n in enumerate((4, 5)):
+        for sys in exhaustive_systems[n]:
+            for k in range(sys.max_value + 1):
+                for uf in enumerate_families(sys, EnumerationRequest("ultrafilter", k, non_principal_only=True)):
+                    ft1 = derived_flags(sys, uf, "ultrafilter")["FT1"]
+                    assert check_family(sys, complement_family(uf), "tangle").violated_axiom == (None if ft1 else "T3")
+                    checked[i] += 1
+                    ft1_failures += not ft1
+    assert (checked, ft1_failures) == ([1170, 987], 0)
 
 
 def test_co_tangle_audit_matches_its_closed_form():
